@@ -3,8 +3,9 @@
 Subcommands: moments, predict q1|q2, roots, cocycle eval|gamma-table,
 verify, selftest.  All output is deterministic for a fixed configuration
 and seed; wall-clock timing columns are zeroed unless --timing is passed.
-The worker count can be overridden with the QLM_WORKERS environment
-variable.
+The worker count of the per-d reference routes can be overridden with the
+QLM_WORKERS environment variable.  Invalid input ends in one line on
+stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import factorial
 
 from . import cocycle, kacmoody, moments, predictor
 from .exactnum import KNum
-from .ffpoly import build_sieve
+from .ffpoly import BudgetExceededError, _require_modulus, build_sieve
 
 VERIFY_NOTE = "normalization: unit auxiliary series assumed for r = 4"
 
@@ -36,28 +37,22 @@ class RunConfig:
     quad: int = 64
     workers: int = 1
     fmt: str = "csv"
-    seed: int = 0
     timing: bool = False
 
     def validate(self) -> None:
-        if self.q % 4 != 1:
-            raise SystemExit("q must be a prime congruent to 1 mod 4")
+        _require_modulus(self.q)
         if not 1 / (self.n_terms + 1) < self.theta < 1 / self.n_terms:
-            raise SystemExit(
+            raise ValueError(
                 f"theta must lie in (1/{self.n_terms + 1}, 1/{self.n_terms})"
             )
         if self.d_min < 1 or self.d_max < self.d_min:
-            raise SystemExit("need 1 <= dmin <= dmax")
-
-
-def _emit(obj, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        raise AssertionError("csv paths write directly")
+            raise ValueError("need 1 <= dmin <= dmax")
+        if self.n_terms >= 2 and self.r < 4:
+            raise ValueError("the second term (N = 2) needs r >= 4")
 
 
 def cmd_moments(args) -> int:
+    _require_modulus(args.q)
     workers = args.workers or moments.default_workers()
     if args.format == "csv":
         print("q,r,D,moment_a,moment_b,moment_float,count,seconds")
@@ -77,6 +72,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _require_modulus(args.q)
     euler = predictor.EulerSpec(pmax=args.pmax)
     rho = args.rho
     if rho is None:
@@ -124,7 +120,7 @@ def cmd_cocycle_eval(args) -> int:
     word = tuple(int(x) for x in args.word.split(","))
     z = tuple(complex(x) for x in args.z.split(","))
     if len(z) < max(word) or len(z) < 2:
-        raise SystemExit("z must have r+1 coordinates covering every letter")
+        raise ValueError("z must have r+1 coordinates covering every letter")
     q = float(args.q)
     m = cocycle.cocycle_matrix(word, z, q, q**0.5, 0.5)
     for row in m:
@@ -326,8 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; invalid input ends in one stderr line and exit 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, BudgetExceededError) as exc:
+        print(f"qlm: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -435,12 +435,6 @@ class FactorSieve:
             raise ValueError("degree beyond sieve range")
         return list(self._irr_tuples[deg])
 
-    def is_irreducible_raw(self, c: tuple[int, ...]) -> bool:
-        deg = len(c) - 1
-        if deg < 1:
-            return False
-        return self.table[deg][index_of_monic(c, self.q)] is None
-
     def smallest_factor_raw(self, c: tuple[int, ...]) -> tuple[int, ...]:
         deg = len(c) - 1
         if deg < 1:

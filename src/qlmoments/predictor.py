@@ -50,7 +50,6 @@ __all__ = [
     "Q1Result",
     "q2_coefficient",
     "q2_term_profile",
-    "q2_term_leading_prediction",
     "q2_leading_coefficient",
     "Q2Result",
     "regularized_factor_value",
@@ -96,6 +95,11 @@ class QuadSpec:
         n = self.n_points
         if n < 4 or n & (n - 1):
             raise ValueError("n_points must be a power of two")
+
+
+#: Fewest nodes per circle of the half grid behind a refinement delta; below
+#: it (n_points < 16) the delta is reported as None.
+MIN_REFINE_POINTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +466,8 @@ def q1_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
                    quad: QuadSpec = QuadSpec(), refine: bool = True) -> Q1Result:
     val = q1_profile(q, r, [D], euler, quad)[D]
     delta = None
-    if refine:
-        half_quad = QuadSpec(rho=quad.rho, n_points=max(quad.n_points // 2, 8))
+    if refine and quad.n_points // 2 >= MIN_REFINE_POINTS:
+        half_quad = QuadSpec(rho=quad.rho, n_points=quad.n_points // 2)
         coarse = q1_profile(q, r, [D], euler, half_quad)[D]
         delta = abs(val - coarse) / max(abs(val), 1e-300)
     note = "" if r >= 4 else "outside the r >= 4 range of the moment prediction"
@@ -608,8 +612,8 @@ def q2_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
 
     val, by_zeta = assemble(quad)
     delta = None
-    if refine:
-        coarse, _ = assemble(QuadSpec(rho=quad.rho, n_points=max(quad.n_points // 2, 8)))
+    if refine and quad.n_points // 2 >= MIN_REFINE_POINTS:
+        coarse, _ = assemble(QuadSpec(rho=quad.rho, n_points=quad.n_points // 2))
         delta = abs(val - coarse) / max(abs(val), 1e-300)
     tail = max(regularized_tail_estimate(q, r, s, euler.pmax) for s in (1, -1))
     return Q2Result(
@@ -627,23 +631,6 @@ def _factorial_ratio(r: int) -> Fraction:
     for j in range(4, r + 1):
         den *= factorial(2 * j - 1)
     return Fraction(num, den)
-
-
-def q2_term_leading_prediction(q: int, r: int, zeta: complex,
-                               euler: EulerSpec = EulerSpec()
-                               ) -> tuple[complex, complex]:
-    """Predicted leading D-coefficients of the two level-two contour integrals.
-
-    Each is a closed rational constant times the central value of its
-    weight function times the central regularized product.
-    """
-    a_sign = 1 if (zeta**2).real > 0 else -1
-    ones = [1.0 + 0j] * r
-    g1, g2 = secondary_weight_functions(ones, zeta, a_sign, q)
-    sreg = euler_product_regularized(ones, zeta, a_sign, q, euler.pmax)
-    base = 3 * Fraction(2) ** (25 - 7 * r) * factorial(r - 3) * _factorial_ratio(r)
-    scale = float(base) * sreg
-    return scale * g1, scale * g2
 
 
 def q2_leading_coefficient(q: int, r: int, euler: EulerSpec = EulerSpec()

@@ -99,3 +99,36 @@ def test_selftest_passes():
     p = run_cli("selftest")
     assert p.returncode == 0
     assert "FAIL" not in p.stdout
+
+
+def assert_one_line_error(p):
+    assert p.returncode == 2
+    assert p.stdout == ""
+    lines = p.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qlm: error:")
+    assert "Traceback" not in p.stderr
+
+
+def test_moments_rejects_composite_modulus():
+    assert_one_line_error(run_cli("moments", "--q", "9", "--dmax", "2"))
+
+
+def test_predict_rejects_composite_modulus():
+    p = run_cli("predict", "q1", "--q", "9", "--D", "4", "--quad", "16",
+                "--pmax", "6")
+    assert_one_line_error(p)
+    assert "modulus" in p.stderr
+
+
+def test_verify_second_term_needs_rank_four():
+    p = run_cli("verify", "--N", "2", "--r", "3", "--dmin", "1", "--dmax", "2")
+    assert_one_line_error(p)
+    assert "r >= 4" in p.stderr
+
+
+def test_predict_refinement_null_without_a_half_grid():
+    # --quad 8 has no half grid of >= 8 nodes: the delta is null, not 0.0
+    p = run_cli("predict", "q1", "--q", "5", "--r", "4", "--D", "4",
+                "--pmax", "6", "--quad", "8")
+    assert p.returncode == 0
+    assert json.loads(p.stdout)["refinement_delta"] is None

@@ -1,19 +1,28 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
-from qlmoments import moments
-from qlmoments.ffpoly import BudgetExceededError
+from qlmoments import ffpoly, lfunc, moments
+from qlmoments.ffpoly import BudgetExceededError, FqPoly
+
+
+@lru_cache(maxsize=None)
+def histogram(q, D):
+    return moments.low_half_histogram(q, D)
 
 
 class TestOracleRoutes:
     @pytest.mark.parametrize("D", [1, 2, 3])
-    @pytest.mark.parametrize("r", [1, 2, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_three_routes_agree_exactly(self, D, r):
         ref = moments.moment(5, r, D, method="reflect")
         sv = moments.moment(5, r, D, method="sieve")
         nv = moments.moment(5, r, D, method="naive")
-        assert (ref.a, ref.b) == (sv.a, sv.b) == (nv.a, nv.b)
+        assert (ref.a, ref.b, ref.count) == (sv.a, sv.b, sv.count) == \
+            (nv.a, nv.b, nv.count)
 
     def test_degree_one_moments(self):
         # every monic linear character has L(1/2) = 1
@@ -28,9 +37,10 @@ class TestOracleRoutes:
         assert moments.squarefree_count(5, 3) == 100
 
     def test_worker_invariance(self):
-        one = moments.moment(5, 3, 4, workers=1)
-        two = moments.moment(5, 3, 4, workers=2)
-        eight = moments.moment(5, 3, 4, workers=8)
+        # workers only parallelise the per-d reference routes
+        one = moments.moment(5, 3, 4, workers=1, method="sieve")
+        two = moments.moment(5, 3, 4, workers=2, method="sieve")
+        eight = moments.moment(5, 3, 4, workers=8, method="sieve")
         assert (one.a, one.b) == (two.a, two.b) == (eight.a, eight.b)
 
     def test_float_matches_exact_embedding(self):
@@ -46,6 +56,69 @@ class TestOracleRoutes:
             moments.moment(5, 0, 3)
         with pytest.raises(ValueError):
             moments.moment(5, 2, 3, method="magic")
+        for q in (9, 3, 7):  # not a prime = 1 mod 4
+            with pytest.raises(ValueError):
+                moments.moment(q, 2, 3)
+            with pytest.raises(ValueError):
+                moments.low_half_histogram(q, 3)
+
+    def test_table_route_budget_counts_low_half_entries(self):
+        # q^D d times the monic m of degree <= h = 3
+        assert moments._estimated_ops(5, 7, "reflect") == 5**7 * 156
+        assert moments._estimated_ops(5, 7, "sieve") == 5**13
+
+
+class TestTableRoute:
+    """The table route ("reflect") against the per-d reference routes."""
+
+    @pytest.mark.parametrize("D", [4, 5])
+    def test_equals_sieve(self, D):
+        for r in (1, 2, 3, 4):
+            fast = moments.moment(5, r, D)
+            ref = moments.moment(5, r, D, method="sieve", workers=2)
+            assert (fast.a, fast.b, fast.count) == (ref.a, ref.b, ref.count)
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_equals_sieve_q13(self, D):
+        for r in (1, 4):
+            fast = moments.moment(13, r, D)
+            ref = moments.moment(13, r, D, method="sieve")
+            assert (fast.a, fast.b, fast.count) == (ref.a, ref.b, ref.count)
+
+    def test_histogram_sizes(self):
+        assert len(histogram(13, 4)) == 15
+        assert len(histogram(5, 5)) == 81
+        assert len(histogram(5, 7)) == 1283
+        for q, D in ((13, 4), (5, 5), (5, 7)):
+            assert sum(histogram(q, D).values()) == moments.squarefree_count(q, D)
+
+    @pytest.mark.parametrize("D", [6, 7])
+    def test_sampled_d_match_histogram(self, D, sieve5):
+        q = 5
+        hist = histogram(q, D)
+        h = moments._half_degree(D)
+        rng = random.Random(1000 + D)
+        checked = 0
+        while checked < 50:
+            coeffs = ffpoly.monic_from_index(q, D, rng.randrange(q**D))
+            if not ffpoly._is_squarefree(coeffs, q):
+                continue
+            full = lfunc.l_coefficients(FqPoly(coeffs, q), sieve5, method="sieve")
+            low = tuple(full[:h + 1])
+            assert low in hist
+            assert lfunc._reflect_coefficients(list(low), D, q) == full
+            checked += 1
+
+    @pytest.mark.parametrize("D", range(1, 8))
+    def test_weil_bound(self, D):
+        # RH for curves: |a_n| <= C(D-1, n) q^(n/2), checked in integers
+        q = 5
+        for low in histogram(q, D):
+            full = lfunc._reflect_coefficients(list(low), D, q)
+            assert len(full) == D and full[0] == 1
+            for n, a in enumerate(full):
+                bound = comb(D - 1, n)
+                assert a * a <= bound * bound * q**n
 
 
 class TestSeriesAndResiduals:

@@ -259,6 +259,12 @@ class TestQ1:
         assert res.tail_estimate < 1e-2
         assert res.note == ""
 
+    def test_no_refinement_delta_below_sixteen_points(self):
+        res = pr.q1_coefficient(Q, 4, 4, pr.EulerSpec(6), pr.QuadSpec(0.1, 8))
+        assert res.refine_delta is None
+        res = pr.q1_coefficient(Q, 4, 4, pr.EulerSpec(6), pr.QuadSpec(0.1, 16))
+        assert res.refine_delta is not None and res.refine_delta > 0
+
     def test_small_rank_flagged(self):
         res = pr.q1_coefficient(Q, 2, 3, pr.EulerSpec(6), pr.QuadSpec(0.1, 16),
                                 refine=False)
@@ -289,6 +295,10 @@ class TestQ2:
         # the halved grid has 16 nodes; only coarse agreement is meaningful
         assert res.refine_delta < 5e-3
         assert set(res.by_zeta) == set(pr.ZETA_FOURTH)
+
+    def test_no_refinement_delta_below_sixteen_points(self):
+        res = pr.q2_coefficient(Q, 4, 4, pr.EulerSpec(6), pr.QuadSpec(0.05, 8))
+        assert res.refine_delta is None
 
     def test_leading_coefficient_pieces(self):
         lead = pr.q2_leading_coefficient(Q, 4, pr.EulerSpec(8))
