@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: moments, predict q1|q2, roots, cocycle eval|gamma-table,
-verify, selftest.  All output is deterministic for a fixed configuration
-and seed; wall-clock timing columns are zeroed unless --timing is passed.
+verify, selftest.  All output is deterministic for a fixed configuration;
+the seconds column of moments is zeroed unless --timing is passed.
 The worker count of the per-d reference routes can be overridden with the
 QLM_WORKERS environment variable.  Invalid input ends in one line on
 stderr and exit status 2.
@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from dataclasses import dataclass
-from math import factorial
 
 from . import cocycle, kacmoody, moments, predictor
 from .exactnum import KNum
@@ -24,35 +21,17 @@ from .ffpoly import BudgetExceededError, _require_modulus, build_sieve
 VERIFY_NOTE = "normalization: unit auxiliary series assumed for r = 4"
 
 
-@dataclass
-class RunConfig:
-    q: int = 5
-    r: int = 4
-    d_min: int = 1
-    d_max: int = 6
-    n_terms: int = 1
-    theta: float = 0.45
-    pmax: int = 6
-    rho: float = 0.1
-    quad: int = 64
-    workers: int = 1
-    fmt: str = "csv"
-    timing: bool = False
-
-    def validate(self) -> None:
-        _require_modulus(self.q)
-        if not 1 / (self.n_terms + 1) < self.theta < 1 / self.n_terms:
-            raise ValueError(
-                f"theta must lie in (1/{self.n_terms + 1}, 1/{self.n_terms})"
-            )
-        if self.d_min < 1 or self.d_max < self.d_min:
-            raise ValueError("need 1 <= dmin <= dmax")
-        if self.n_terms >= 2 and self.r < 4:
-            raise ValueError("the second term (N = 2) needs r >= 4")
+def check_moment_input(args) -> None:
+    """The input checks moments and verify share: q, r and the degree range."""
+    _require_modulus(args.q)
+    if args.r < 1:
+        raise ValueError("need r >= 1")
+    if not 1 <= args.dmin <= args.dmax:
+        raise ValueError("need 1 <= dmin <= dmax")
 
 
 def cmd_moments(args) -> int:
-    _require_modulus(args.q)
+    check_moment_input(args)
     workers = args.workers or moments.default_workers()
     if args.format == "csv":
         print("q,r,D,moment_a,moment_b,moment_float,count,seconds")
@@ -72,7 +51,6 @@ def cmd_moments(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _require_modulus(args.q)
     euler = predictor.EulerSpec(pmax=args.pmax)
     rho = args.rho
     if rho is None:
@@ -80,22 +58,16 @@ def cmd_predict(args) -> int:
     quad = predictor.QuadSpec(rho=rho, n_points=args.quad)
     if args.which == "q1":
         res = predictor.q1_coefficient(args.q, args.r, args.D, euler, quad)
-        payload = {
-            "kind": "q1", "q": res.q, "r": res.r, "D": res.D,
-            "value": res.value, "imag_rel": res.imag_rel,
-            "truncation_tail": res.tail_estimate,
-            "refinement_delta": res.refine_delta,
-        }
-        if res.note:
-            payload["note"] = res.note
     else:
         res = predictor.q2_coefficient(args.q, args.r, args.D, euler, quad)
-        payload = {
-            "kind": "q2", "q": res.q, "r": res.r, "D": res.D,
-            "value": res.value, "imag_rel": res.imag_rel,
-            "truncation_tail": res.tail_estimate,
-            "refinement_delta": res.refine_delta,
-        }
+    payload = {
+        "kind": args.which, "q": res.q, "r": res.r, "D": res.D,
+        "value": res.value, "imag_rel": res.imag_rel,
+        "truncation_tail": res.tail_estimate,
+        "refinement_delta": res.refine_delta,
+    }
+    if args.which == "q1" and res.note:
+        payload["note"] = res.note
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -149,59 +121,41 @@ def default_theta(n_terms: int) -> float:
 
 
 def cmd_verify(args) -> int:
+    check_moment_input(args)
     theta = args.theta if args.theta is not None else default_theta(args.N)
-    cfg = RunConfig(q=args.q, r=args.r, d_min=args.dmin, d_max=args.dmax,
-                    n_terms=args.N, theta=theta, pmax=args.pmax,
-                    rho=args.rho, quad=args.quad,
-                    workers=args.workers or moments.default_workers(),
-                    fmt=args.format, timing=args.timing)
-    cfg.validate()
-    degrees = list(range(cfg.d_min, cfg.d_max + 1))
-    euler = predictor.EulerSpec(pmax=cfg.pmax)
-    quad = predictor.QuadSpec(rho=cfg.rho, n_points=cfg.quad)
-    q1 = predictor.q1_profile(cfg.q, cfg.r, degrees, euler, quad)
-    preds = {D: q1[D].real * cfg.q**D for D in degrees}
-    if cfg.n_terms >= 2:
-        quad2 = predictor.QuadSpec(rho=predictor.Q2_QUAD.rho,
-                                   n_points=cfg.quad)
-        norm = 1 / (2**5 * 6 * factorial(cfg.r - 3))
-        for zeta in predictor.ZETA_FOURTH:
-            prof = predictor.q2_term_profile(cfg.q, cfg.r, degrees, zeta,
-                                             euler, quad2)
-            for D in degrees:
-                l1, l2 = prof[D]
-                piece = zeta**D * norm * ((1 - cfg.q**0.5)**(-cfg.r) * l1 + l2)
-                preds[D] += piece.real * cfg.q ** (0.75 * D)
-    rows = []
-    for D in degrees:
-        res = moments.moment(cfg.q, cfg.r, D, workers=cfg.workers)
-        residual = res.value - preds[D]
-        normalized = residual / cfg.q ** (D * (1 + cfg.theta) / 2)
-        rows.append((D, res, preds[D], residual, normalized))
-    if cfg.fmt == "csv":
-        if cfg.r == 4:
+    if not 1 / (args.N + 1) < theta < 1 / args.N:
+        raise ValueError(f"theta must lie in (1/{args.N + 1}, 1/{args.N})")
+    degrees = list(range(args.dmin, args.dmax + 1))
+    preds = predictor.moment_prediction(
+        args.q, args.r, degrees, args.N, predictor.EulerSpec(pmax=args.pmax),
+        predictor.QuadSpec(rho=args.rho, n_points=args.quad))
+    rows = moments.residual_table(
+        args.q, args.r, degrees, preds, theta,
+        workers=args.workers or moments.default_workers())
+    if args.format == "csv":
+        if args.r == 4:
             print(f"# note: {VERIFY_NOTE}")
         print("D,moment_a,moment_b,moment,prediction,residual,normalized")
-        for D, res, pred, residual, normalized in rows:
-            print(f"{D},{res.a},{res.b},{res.value!r},{pred!r},"
-                  f"{residual!r},{normalized!r}")
+        for row in rows:
+            print(f"{row.D},{row.moment_a},{row.moment_b},{row.moment_value!r},"
+                  f"{row.prediction!r},{row.residual!r},{row.normalized!r}")
     else:
         print(json.dumps({
-            "note": VERIFY_NOTE if cfg.r == 4 else "",
-            "config": {"q": cfg.q, "r": cfg.r, "N": cfg.n_terms,
-                       "theta": cfg.theta, "pmax": cfg.pmax,
-                       "rho": cfg.rho, "quad": cfg.quad},
+            "note": VERIFY_NOTE if args.r == 4 else "",
+            "config": {"q": args.q, "r": args.r, "N": args.N,
+                       "theta": theta, "pmax": args.pmax,
+                       "rho": args.rho, "quad": args.quad},
             "rows": [{
-                "D": D, "moment_a": str(res.a), "moment_b": str(res.b),
-                "moment": res.value, "prediction": pred,
-                "residual": residual, "normalized": normalized,
-            } for D, res, pred, residual, normalized in rows],
+                "D": row.D, "moment_a": str(row.moment_a),
+                "moment_b": str(row.moment_b), "moment": row.moment_value,
+                "prediction": row.prediction, "residual": row.residual,
+                "normalized": row.normalized,
+            } for row in rows],
         }, sort_keys=True))
     return 0
 
 
 def cmd_selftest(args) -> int:
-    rng = random.Random(args.seed)
     q = 5
     failures = 0
 
@@ -312,11 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", type=int, default=64)
     p.add_argument("--workers", type=int, default=0)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("selftest", help="run the built-in property checks")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selftest)
     return top
 

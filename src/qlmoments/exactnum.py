@@ -17,27 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .ffpoly import _require_modulus
+
 __all__ = ["KNum", "zeta_at_half", "l_at_half_unit"]
 
 Frac = Fraction
 _Gauss = tuple[Fraction, Fraction]  # re, im
-
-_VALIDATED: set[int] = set()
-
-
-def _validate_modulus(q: int) -> None:
-    if q in _VALIDATED:
-        return
-    if q < 5 or q % 4 != 1:
-        raise ValueError(f"modulus must be a prime = 1 mod 4, got {q}")
-    n = 3
-    while n * n <= q:
-        if q % n == 0:
-            raise ValueError(f"modulus must be prime, got {q}")
-        n += 2
-    # prime q is neither a rational square nor a rational fourth power,
-    # so t^4 - q has no root and no quadratic factor over Q(i)
-    _VALIDATED.add(q)
 
 
 def _gadd(a: _Gauss, b: _Gauss) -> _Gauss:
@@ -132,12 +117,12 @@ class KNum:
 
     @classmethod
     def rational(cls, x: Scalar, q: int) -> "KNum":
-        _validate_modulus(q)
+        _require_modulus(q)
         return cls(((Frac(x), Frac(0)), _GZERO, _GZERO, _GZERO), q)
 
     @classmethod
     def gaussian(cls, re: Scalar, im: Scalar, q: int) -> "KNum":
-        _validate_modulus(q)
+        _require_modulus(q)
         return cls(((Frac(re), Frac(im)), _GZERO, _GZERO, _GZERO), q)
 
     @classmethod
@@ -155,7 +140,7 @@ class KNum:
     @classmethod
     def root4(cls, q: int, power: int = 1) -> "KNum":
         """t^power, i.e. q^(power/4), for any integer power."""
-        _validate_modulus(q)
+        _require_modulus(q)
         whole, frac = divmod(power, 4)
         coeff: _Gauss = (Frac(q) ** whole, Frac(0))
         coords = [_GZERO] * 4
@@ -177,7 +162,7 @@ class KNum:
     @classmethod
     def from_sqrt_pair(cls, a: Scalar, b: Scalar, q: int) -> "KNum":
         """a + b*sqrt(q)."""
-        _validate_modulus(q)
+        _require_modulus(q)
         return cls(((Frac(a), Frac(0)), _GZERO, (Frac(b), Frac(0)), _GZERO), q)
 
     # -- ring operations ---------------------------------------------------

@@ -37,7 +37,17 @@ class BudgetExceededError(RuntimeError):
     """Raised when a requested table or scan exceeds the configured budget."""
 
 
+_VALID_MODULI: set[int] = set()
+
+
 def _require_modulus(q: int) -> None:
+    """Raise ValueError unless q is a prime = 1 mod 4.
+
+    Each valid q is tested once: exact arithmetic in K checks the modulus
+    of every int operand it coerces.
+    """
+    if q in _VALID_MODULI:
+        return
     if q < 5 or q % 4 != 1:
         raise ValueError(f"modulus must be an odd prime = 1 mod 4, got {q}")
     n = 3
@@ -45,6 +55,7 @@ def _require_modulus(q: int) -> None:
         if q % n == 0:
             raise ValueError(f"modulus must be prime, got {q}")
         n += 2
+    _VALID_MODULI.add(q)
 
 
 _SQUARES: dict[int, frozenset[int]] = {}

@@ -38,7 +38,6 @@ from .ffpoly import BudgetExceededError, FqPoly
 __all__ = [
     "MomentResult",
     "moment",
-    "moment_float",
     "generating_series",
     "low_half_histogram",
     "residual_table",
@@ -317,10 +316,6 @@ def moment(q: int, r: int, D: int, workers: int = 1, method: str = "reflect",
         a=Fraction(su, den), b=Fraction(sv, den),
         count=count, seconds=time.perf_counter() - start, method=method,
     )
-
-
-def moment_float(q: int, r: int, D: int, **kw) -> float:
-    return moment(q, r, D, **kw).value
 
 
 def zeroth_moment_pair(q: int, r: int) -> tuple[Fraction, Fraction]:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cocycle import de_diagonals, gamma_table_entry, mbar_closed
 from .exactnum import l_at_half_unit, zeta_at_half
-from .ffpoly import irreducible_count
+from .ffpoly import _require_modulus, irreducible_count
 
 __all__ = [
     "EulerSpec",
@@ -49,7 +49,9 @@ __all__ = [
     "q1_profile",
     "Q1Result",
     "q2_coefficient",
+    "q2_profile",
     "q2_term_profile",
+    "moment_prediction",
     "q2_leading_coefficient",
     "Q2Result",
     "regularized_factor_value",
@@ -416,6 +418,9 @@ def _q1_kernel(zs, q, r):
 def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
                quad: QuadSpec = QuadSpec()) -> dict[int, complex]:
     """Q1(D, q) for every degree in the list, sharing one grid pass."""
+    _require_modulus(q)
+    if r < 1:
+        raise ValueError("need r >= 1")
     degrees = sorted(set(degrees))
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be >= 1")
@@ -567,9 +572,12 @@ def q2_term_profile(q: int, r: int, degrees, zeta: complex,
     Returns {D: (first, second)} for one fourth root of unity zeta; the
     grid pass is shared across all degrees.
     """
+    _require_modulus(q)
     if r < 4:
         raise ValueError("the level-two coefficient needs r >= 4")
     degrees = sorted(set(degrees))
+    if any(d < 1 for d in degrees):
+        raise ValueError("degrees must be >= 1")
     a_sign = 1 if (zeta**2).real > 0 else -1
     n, rho = quad.n_points, quad.rho
     nodes, w = _circle(n, rho)
@@ -595,20 +603,30 @@ def q2_term_profile(q: int, r: int, degrees, zeta: complex,
             for d in degrees}
 
 
+def q2_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
+               quad: QuadSpec = Q2_QUAD) -> dict[int, dict[complex, complex]]:
+    """{D: {zeta: piece}} with Q2(D, q) = sum over zeta of zeta^D * piece.
+
+    One q2_term_profile grid pass per fourth root of unity zeta, shared
+    across all degrees; the pieces come in ZETA_FOURTH order.
+    """
+    profiles = {zeta: q2_term_profile(q, r, degrees, zeta, euler, quad)
+                for zeta in ZETA_FOURTH}
+    norm = 1 / (2**5 * 6 * factorial(r - 3))
+    return {
+        D: {zeta: norm * ((1 - q**0.5) ** (-r) * prof[D][0] + prof[D][1])
+            for zeta, prof in profiles.items()}
+        for D in sorted(set(degrees))
+    }
+
+
 def q2_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
                    quad: QuadSpec = Q2_QUAD, refine: bool = True) -> Q2Result:
     """Q2(D, q): the coefficient of q^(3D/4) in the moment prediction."""
 
     def assemble(spec: QuadSpec) -> tuple[complex, dict]:
-        norm = 1 / (2**5 * 6 * factorial(r - 3))
-        total = 0j
-        by_zeta = {}
-        for zeta in ZETA_FOURTH:
-            l1, l2 = q2_term_profile(q, r, [D], zeta, euler, spec)[D]
-            piece = (1 - q**0.5) ** (-r) * l1 + l2
-            by_zeta[zeta] = norm * piece
-            total += zeta**D * norm * piece
-        return total, by_zeta
+        by_zeta = q2_profile(q, r, [D], euler, spec)[D]
+        return sum(zeta**D * piece for zeta, piece in by_zeta.items()), by_zeta
 
     val, by_zeta = assemble(quad)
     delta = None
@@ -621,6 +639,28 @@ def q2_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
         imag_rel=abs(val.imag) / max(abs(val), 1e-300),
         tail_estimate=tail, refine_delta=delta, by_zeta=by_zeta,
     )
+
+
+def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
+                      euler: EulerSpec = EulerSpec(),
+                      quad: QuadSpec = QuadSpec()) -> dict[int, float]:
+    """{D: Q1 q^D}, plus Q2 q^(3D/4) when n_terms = 2: the predicted moment.
+
+    Q2 runs on the level-two radius Q2_QUAD.rho with quad's node count, and
+    the real part of each zeta piece is added in ZETA_FOURTH order.
+    """
+    if n_terms not in (1, 2):
+        raise ValueError("the prediction has N = 1 or N = 2 terms")
+    if n_terms == 2 and r < 4:  # fail before the Q1 grid pass, not after
+        raise ValueError("the second term (N = 2) needs r >= 4")
+    q1 = q1_profile(q, r, degrees, euler, quad)
+    preds = {D: q1[D].real * q**D for D in degrees}
+    if n_terms == 2:
+        quad2 = QuadSpec(rho=Q2_QUAD.rho, n_points=quad.n_points)
+        for D, pieces in q2_profile(q, r, degrees, euler, quad2).items():
+            for zeta, piece in pieces.items():
+                preds[D] += (zeta**D * piece).real * q ** (0.75 * D)
+    return preds
 
 
 def _factorial_ratio(r: int) -> Fraction:
@@ -642,6 +682,7 @@ def q2_leading_coefficient(q: int, r: int, euler: EulerSpec = EulerSpec()
     the full periodic leading term at degree D is
     sum_k (i^k)^D * piece[k].
     """
+    _require_modulus(q)
     if r < 4:
         raise ValueError("needs r >= 4")
     front = float(Fraction(2) ** (19 - 7 * r) * _factorial_ratio(r))

@@ -9,7 +9,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -213,14 +213,7 @@ def test_criterion_10_q2_structure():
     euler = pr.EulerSpec(12)
     quad = pr.Q2_QUAD
     degrees = list(range(20, 41))
-    norm = 1 / (2**5 * 6 * factorial(r - 3))
-    combo = {}
-    for zeta in pr.ZETA_FOURTH:
-        prof = pr.q2_term_profile(q, r, degrees, zeta, euler, quad)
-        combo[zeta] = {
-            D: norm * ((1 - q**0.5) ** (-r) * prof[D][0] + prof[D][1])
-            for D in degrees
-        }
+    pieces = pr.q2_profile(q, r, degrees, euler, quad)
 
     # degree-7 fit per class: each root-of-unity piece is a polynomial in D
     def fit_resid(ys):
@@ -231,7 +224,7 @@ def test_criterion_10_q2_structure():
 
     worst_fit = 0.0
     for zeta in pr.ZETA_FOURTH:
-        ys = np.array([combo[zeta][D] for D in degrees])
+        ys = np.array([pieces[D][zeta] for D in degrees])
         worst_fit = max(worst_fit, fit_resid(ys.real))
         if np.linalg.norm(ys.imag) > 1e-12 * np.linalg.norm(ys.real):
             worst_fit = max(worst_fit, fit_resid(ys.imag))
@@ -239,7 +232,7 @@ def test_criterion_10_q2_structure():
 
     # diagnostic: the assembled coefficient mixes the classes with period-4
     # phases of comparable size, so a plain parity fit is structurally lossy
-    q2 = {D: sum(z**D * combo[z][D] for z in pr.ZETA_FOURTH).real
+    q2 = {D: sum(z**D * p for z, p in pieces[D].items()).real
           for D in degrees}
     parity_resid = []
     for parity in (0, 1):
@@ -251,7 +244,7 @@ def test_criterion_10_q2_structure():
 
     # leading coefficient via 7th differences of the per-root-of-unity pieces
     def lead7(zeta):
-        vals = [combo[zeta][D] for D in range(20, 28)]
+        vals = [pieces[D][zeta] for D in range(20, 28)]
         for _ in range(7):
             vals = [b - a for a, b in zip(vals, vals[1:])]
         return vals[0] / 5040
@@ -276,8 +269,8 @@ def test_criterion_10_q2_structure():
 def test_criterion_11_end_to_end_decay():
     q, r = 5, 4
     degrees = [3, 4, 5, 6, 7]
-    q1 = pr.q1_profile(q, r, degrees, pr.EulerSpec(16), pr.QuadSpec(0.1, 64))
-    preds = {D: q1[D].real * q**D for D in degrees}
+    preds = pr.moment_prediction(q, r, degrees, 1, pr.EulerSpec(16),
+                                 pr.QuadSpec(0.1, 64))
     rows = moments.residual_table(q, r, degrees, preds, theta=0.55,
                                   workers=WORKERS)
     print("\nD,moment_a,moment_b,moment,prediction,residual,"

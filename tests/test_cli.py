@@ -1,12 +1,22 @@
 import json
+import os
 import subprocess
 import sys
+
+import pytest
+
+import qlmoments
+
+# the CLI subprocesses import the same tree as this test process
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qlmoments.__file__)))
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "qlmoments.cli", *args],
-        capture_output=True, text=True, timeout=600,
+        capture_output=True, text=True, timeout=600, env=ENV,
     )
     return proc
 
@@ -95,6 +105,35 @@ def test_verify_pipeline_small():
     assert p.stdout == p2.stdout
 
 
+# stdout of `verify --q 5 --r 4 --dmin 1 --dmax 3 --quad 16 --pmax 6`, pinned
+# byte for byte so that a change in how the prediction is assembled shows
+VERIFY_GOLDEN_ARGS = ("verify", "--q", "5", "--r", "4", "--dmin", "1",
+                      "--dmax", "3", "--quad", "16", "--pmax", "6")
+VERIFY_GOLDEN = {
+    "1": (
+        '# note: normalization: unit auxiliary series assumed for r = 4\n'
+        'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
+        '1,5,0,5.0,5.512541437832018,-0.5125414378320183,-0.12535170026723783\n'
+        '2,224/5,-96/5,1.8674948320040343,2.1697060706161193,-0.302211238612085,-0.01807644829319747\n'
+        '3,20456/5,0,4091.2,4097.0448850421235,-5.844885042123678,-0.08550267703848473\n'
+    ),
+    "2": (
+        '# note: normalization: unit auxiliary series assumed for r = 4\n'
+        'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
+        '1,5,0,5.0,5.437242387773136,-0.43724238777313573,-0.13983584278760253\n'
+        '2,224/5,-96/5,1.8674948320040343,4.123133364442208,-2.255638532438174,-0.23070765175443658\n'
+        '3,20456/5,0,4091.2,4089.3048336067354,1.8951663932643896,0.061992062720414486\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("n_terms", ["1", "2"])
+def test_verify_golden_stdout(n_terms):
+    p = run_cli(*VERIFY_GOLDEN_ARGS, "--N", n_terms)
+    assert p.returncode == 0
+    assert p.stdout == VERIFY_GOLDEN[n_terms]
+
+
 def test_selftest_passes():
     p = run_cli("selftest")
     assert p.returncode == 0
@@ -113,11 +152,26 @@ def test_moments_rejects_composite_modulus():
     assert_one_line_error(run_cli("moments", "--q", "9", "--dmax", "2"))
 
 
+@pytest.mark.parametrize("args", [
+    ("--dmin", "0"),
+    ("--r", "0"),
+    ("--dmin", "3", "--dmax", "2"),
+])
+def test_moments_rejects_bad_range_before_printing(args):
+    assert_one_line_error(run_cli("moments", *args))
+
+
 def test_predict_rejects_composite_modulus():
     p = run_cli("predict", "q1", "--q", "9", "--D", "4", "--quad", "16",
                 "--pmax", "6")
     assert_one_line_error(p)
     assert "modulus" in p.stderr
+
+
+def test_predict_rejects_rank_zero():
+    p = run_cli("predict", "q1", "--r", "0", "--D", "4", "--quad", "16")
+    assert_one_line_error(p)
+    assert "r >= 1" in p.stderr
 
 
 def test_verify_second_term_needs_rank_four():

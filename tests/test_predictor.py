@@ -50,6 +50,29 @@ class TestSpecs:
             pr.EulerSpec(pmax=0)
 
 
+class TestEntryValidation:
+    EULER = pr.EulerSpec(6)
+    QUAD = pr.QuadSpec(0.1, 8)
+
+    @pytest.mark.parametrize("q", [9, 7, 3])  # not a prime = 1 mod 4
+    def test_entry_points_reject_modulus(self, q):
+        with pytest.raises(ValueError, match="modulus"):
+            pr.q1_coefficient(q, 4, 4, self.EULER, self.QUAD, refine=False)
+        with pytest.raises(ValueError, match="modulus"):
+            pr.q2_coefficient(q, 4, 4, self.EULER, self.QUAD, refine=False)
+        with pytest.raises(ValueError, match="modulus"):
+            pr.q2_leading_coefficient(q, 4, self.EULER)
+
+    def test_q1_rejects_rank_zero(self):
+        with pytest.raises(ValueError, match="r >= 1"):
+            pr.q1_profile(Q, 0, [4], self.EULER, self.QUAD)
+
+    @pytest.mark.parametrize("D", [0, -3])
+    def test_q2_rejects_degree_below_one(self, D):
+        with pytest.raises(ValueError, match="degrees must be >= 1"):
+            pr.q2_coefficient(Q, 4, D, self.EULER, self.QUAD, refine=False)
+
+
 class TestLevelOneEuler:
     def test_zero_point_is_trivial(self):
         zs = [0.0] * 4
@@ -300,6 +323,15 @@ class TestQ2:
         res = pr.q2_coefficient(Q, 4, 4, pr.EulerSpec(6), pr.QuadSpec(0.05, 8))
         assert res.refine_delta is None
 
+    def test_coefficient_is_assembled_by_q2_profile(self):
+        euler, quad = pr.EulerSpec(6), pr.QuadSpec(0.05, 8)
+        res = pr.q2_coefficient(Q, 4, 5, euler, quad)
+        pieces = pr.q2_profile(Q, 4, [4, 5], euler, quad)
+        assert list(pieces) == [4, 5]
+        assert list(res.by_zeta) == list(pr.ZETA_FOURTH)
+        assert res.by_zeta == pieces[5]
+        assert res.value == sum(z**5 * p for z, p in pieces[5].items()).real
+
     def test_leading_coefficient_pieces(self):
         lead = pr.q2_leading_coefficient(Q, 4, pr.EulerSpec(8))
         assert set(lead) >= {"zeta^0", "zeta^1", "zeta^2", "zeta^3", "even", "odd"}
@@ -308,3 +340,28 @@ class TestQ2:
         assert abs(lead["zeta^2"].imag) < 1e-24
         assert abs(lead["zeta^1"] - lead["zeta^3"].conjugate()) < 1e-22
         assert abs(lead["even"] - (lead["zeta^0"] + lead["zeta^2"])) < 1e-24
+
+
+class TestMomentPrediction:
+    EULER = pr.EulerSpec(6)
+    QUAD = pr.QuadSpec(0.1, 8)
+
+    def test_first_term_is_q1_times_q_to_the_d(self):
+        q1 = pr.q1_profile(Q, 4, [3, 4], self.EULER, self.QUAD)
+        got = pr.moment_prediction(Q, 4, [3, 4], 1, self.EULER, self.QUAD)
+        assert got == {D: q1[D].real * Q**D for D in (3, 4)}
+
+    def test_second_term_adds_q2_on_the_level_two_radius(self):
+        one = pr.moment_prediction(Q, 4, [3, 4], 1, self.EULER, self.QUAD)
+        two = pr.moment_prediction(Q, 4, [3, 4], 2, self.EULER, self.QUAD)
+        quad2 = pr.QuadSpec(pr.Q2_QUAD.rho, self.QUAD.n_points)
+        for D in (3, 4):
+            q2 = pr.q2_coefficient(Q, 4, D, self.EULER, quad2, refine=False)
+            term = q2.value * Q ** (0.75 * D)
+            assert abs(two[D] - one[D] - term) <= 1e-9 * abs(two[D])
+
+    def test_rejects_bad_term_count_before_any_grid_pass(self):
+        with pytest.raises(ValueError, match="N = 1 or N = 2"):
+            pr.moment_prediction(Q, 4, [3], 3)
+        with pytest.raises(ValueError, match="r >= 4"):
+            pr.moment_prediction(Q, 3, [3], 2)
