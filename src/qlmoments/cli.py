@@ -66,7 +66,7 @@ def cmd_predict(args) -> int:
         "truncation_tail": res.tail_estimate,
         "refinement_delta": res.refine_delta,
     }
-    if args.which == "q1" and res.note:
+    if res.note:
         payload["note"] = res.note
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -129,9 +129,7 @@ def cmd_verify(args) -> int:
     preds = predictor.moment_prediction(
         args.q, args.r, degrees, args.N, predictor.EulerSpec(pmax=args.pmax),
         predictor.QuadSpec(rho=args.rho, n_points=args.quad))
-    rows = moments.residual_table(
-        args.q, args.r, degrees, preds, theta,
-        workers=args.workers or moments.default_workers())
+    rows = moments.residual_table(args.q, args.r, degrees, preds, theta)
     if args.format == "csv":
         if args.r == 4:
             print(f"# note: {VERIFY_NOTE}")
@@ -140,11 +138,13 @@ def cmd_verify(args) -> int:
             print(f"{row.D},{row.moment_a},{row.moment_b},{row.moment_value!r},"
                   f"{row.prediction!r},{row.residual!r},{row.normalized!r}")
     else:
+        config = {"q": args.q, "r": args.r, "N": args.N, "theta": theta,
+                  "pmax": args.pmax, "rho": args.rho, "quad": args.quad}
+        if args.N == 2:  # the second term runs on its own radius
+            config["rho_q2"] = predictor.Q2_QUAD.rho
         print(json.dumps({
             "note": VERIFY_NOTE if args.r == 4 else "",
-            "config": {"q": args.q, "r": args.r, "N": args.N,
-                       "theta": theta, "pmax": args.pmax,
-                       "rho": args.rho, "quad": args.quad},
+            "config": config,
             "rows": [{
                 "D": row.D, "moment_a": str(row.moment_a),
                 "moment_b": str(row.moment_b), "moment": row.moment_value,
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=int, default=12)
     p.add_argument("--rho", type=float, default=0.1)
     p.add_argument("--quad", type=int, default=64)
-    p.add_argument("--workers", type=int, default=0)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(func=cmd_verify)
 

@@ -85,6 +85,11 @@ def character_row_sums(d: FqPoly, n_max: int, sieve: FactorSieve | None = None
     return sums
 
 
+def _half_degree(D: int) -> int:
+    """h such that a_0 .. a_h of a degree-D d determine the rest (the low half)."""
+    return (D - 1) // 2 if D % 2 == 1 else max(D // 2 - 1, 0)
+
+
 def _reflect_coefficients(low: list[int], deg_d: int, q: int) -> list[int]:
     """Complete a coefficient list from its low half via the functional equation.
 
@@ -93,15 +98,13 @@ def _reflect_coefficients(low: list[int], deg_d: int, q: int) -> list[int]:
     divisions are exact and asserted.
     """
     big = deg_d
+    h = _half_degree(big)
+    assert len(low) >= h + 1
     if big % 2 == 1:
-        h = (big - 1) // 2
-        assert len(low) >= h + 1
         out = list(low[: h + 1])
         for n in range(h - 1, -1, -1):
             out.append(q ** (h - n) * low[n])
         return out
-    h = big // 2 - 1
-    assert len(low) >= h + 1
     a = list(low[: h + 1]) + [None] * (big - h - 1)
     b_high = {}
     for n in range(0, h + 1):
@@ -133,8 +136,7 @@ def l_coefficients(d: FqPoly, sieve: FactorSieve | None = None,
     if method == "sieve":
         return character_row_sums(d, big - 1, sieve)
     if method == "reflect":
-        half = (big - 1) // 2 if big % 2 == 1 else big // 2 - 1
-        low = character_row_sums(d, max(half, 0), sieve)
+        low = character_row_sums(d, _half_degree(big), sieve)
         return _reflect_coefficients(low, big, d.q)
     raise ValueError(f"unknown method {method!r}")
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import ffpoly, lfunc
 from .ffpoly import BudgetExceededError, FqPoly
+from .lfunc import _half_degree
 
 __all__ = [
     "MomentResult",
@@ -91,10 +92,6 @@ def _estimated_ops(q: int, D: int, method: str) -> int:
     if method == "reflect":
         return q**D * sum(q**n for n in range(_half_degree(D) + 1))
     return q ** (2 * D - 1)
-
-
-def _half_degree(D: int) -> int:
-    return (D - 1) // 2 if D % 2 == 1 else max(D // 2 - 1, 0)
 
 
 def _scaled_power(a_list: list[int], q: int, D: int, r: int) -> tuple[int, int]:
@@ -328,14 +325,14 @@ def zeroth_moment_pair(q: int, r: int) -> tuple[Fraction, Fraction]:
 
 
 def generating_series(q: int, r: int, d_max: int, xi: complex,
-                      workers: int = 1, include_zero: bool = True) -> complex:
+                      include_zero: bool = True) -> complex:
     """Partial sum over degrees of the moment generating function at xi."""
     out = 0j
     if include_zero:
         a0, b0 = zeroth_moment_pair(q, r)
         out += complex(float(a0) + float(b0) * q**0.5)
     for D in range(1, d_max + 1):
-        out += moment(q, r, D, workers=workers).value * xi**D
+        out += moment(q, r, D).value * xi**D
     return out
 
 
@@ -352,15 +349,14 @@ class ResidualRow:
 
 def residual_table(q: int, r: int, degrees: list[int],
                    predictions: dict[int, float] | None,
-                   theta: float, workers: int = 1,
-                   method: str = "reflect") -> list[ResidualRow]:
+                   theta: float) -> list[ResidualRow]:
     """Moments minus predicted terms, normalized by q^(D (1 + theta) / 2).
 
     With no predictions the residual column is the raw moment.
     """
     rows = []
     for D in degrees:
-        res = moment(q, r, D, workers=workers, method=method)
+        res = moment(q, r, D)
         pred = 0.0 if predictions is None else predictions.get(D, 0.0)
         residual = res.value - pred
         norm = residual / q ** (D * (1 + theta) / 2)

@@ -14,10 +14,13 @@ Two pipelines are implemented on top of the cocycle module:
 
 Euler products are truncated at a degree cutoff; each truncation carries a
 reported tail estimate.  All contour quadrature is the trapezoid rule on
-circles (spectrally accurate for these analytic integrands); every
-reported integral can be re-run at half resolution to get a refinement
-delta.  Exact q^(1/4)-polynomial ingredients are computed in K and only
-embedded to floats at the quadrature boundary.
+circles (spectrally accurate for these analytic integrands), and every
+r-fold integral walks the one grid generator _torus, for every r >= 1.
+Both coefficients are reported as a Coefficient record: the value, its
+relative imaginary residue, the truncation tail and the refinement delta
+(the same integral re-run at half resolution, see _refine_delta).  Exact
+q^(1/4)-polynomial ingredients are computed in K and only embedded to
+floats at the quadrature boundary.
 """
 
 from __future__ import annotations
@@ -47,13 +50,12 @@ __all__ = [
     "secondary_weight_functions",
     "q1_coefficient",
     "q1_profile",
-    "Q1Result",
+    "Coefficient",
     "q2_coefficient",
     "q2_profile",
     "q2_term_profile",
     "moment_prediction",
     "q2_leading_coefficient",
-    "Q2Result",
     "regularized_factor_value",
     "regularized_factor_series",
     "rank3_local_poly",
@@ -104,6 +106,41 @@ class QuadSpec:
 MIN_REFINE_POINTS = 8
 
 
+def _refine_delta(val: complex, value_at, quad: QuadSpec, refine: bool):
+    """|val - value_at(half grid)| / |val|, or None when refine is off or the
+    half grid would have fewer than MIN_REFINE_POINTS nodes per circle."""
+    if not refine or quad.n_points // 2 < MIN_REFINE_POINTS:
+        return None
+    coarse = value_at(QuadSpec(rho=quad.rho, n_points=quad.n_points // 2))
+    return abs(val - coarse) / max(abs(val), 1e-300)
+
+
+@dataclass(frozen=True)
+class Coefficient:
+    """A predicted coefficient Q1(D, q) or Q2(D, q) with its error diagnostics.
+
+    note flags a Q1 rank outside the prediction's range; by_zeta holds the
+    per-root pieces of Q2 (see q2_profile).
+    """
+
+    q: int
+    r: int
+    D: int
+    value: float
+    imag_rel: float
+    tail_estimate: float
+    refine_delta: float | None
+    note: str = ""
+    by_zeta: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, q: int, r: int, D: int, val: complex, tail: float,
+           delta: float | None, **extra) -> "Coefficient":
+        return cls(q=q, r=r, D=D, value=val.real,
+                   imag_rel=abs(val.imag) / max(abs(val), 1e-300),
+                   tail_estimate=tail, refine_delta=delta, **extra)
+
+
 # ---------------------------------------------------------------------------
 # contour helpers
 
@@ -113,35 +150,40 @@ def _circle(n: int, rho: float, center: complex = 1.0):
     return center + rho * phase, rho * phase / n
 
 
-def _rest_views(nodes: np.ndarray, r: int) -> list[np.ndarray]:
-    views = []
-    for a in range(r - 1):
-        shape = [1] * (r - 1)
-        shape[a] = nodes.size
-        views.append(nodes.reshape(shape))
-    return views
+def _torus(r: int, n: int, rho: float, center: complex = 1.0):
+    """Walk the r-fold trapezoid grid one slice at a time.
+
+    Yields (w_i, zs, w_rest): the last max(r - 1, 1) variables of zs are
+    broadcast views of all n nodes and w_rest is the product of their
+    weights; the leading variable, if any is left, is node i with weight
+    w_i.  For r = 1 the one slice is (1, [nodes], w).
+    """
+    nodes, w = _circle(n, rho, center)
+    k = max(r - 1, 1)
+    shapes = [[n if b == a else 1 for b in range(k)] for a in range(k)]
+    views = [nodes.reshape(shape) for shape in shapes]
+    w_rest = _product([w.reshape(shape) for shape in shapes])
+    for lead in itertools.product(range(n), repeat=r - k):
+        yield np.prod(w[list(lead)]), [nodes[i] for i in lead] + views, w_rest
 
 
-def _rest_weight(w: np.ndarray, r: int) -> np.ndarray:
-    out = np.ones((1,) * max(r - 1, 1), dtype=complex)
-    for a in range(r - 1):
-        shape = [1] * (r - 1)
-        shape[a] = w.size
-        out = out * w.reshape(shape)
+def _product(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
     return out
+
+
+def _sign(r: int) -> int:
+    """The orientation sign (-1)^(r(r+1)/2) of the r-fold residue integrals."""
+    return (-1) ** (r * (r + 1) // 2)
 
 
 def contour_integral(fn, r: int, rho: float, n: int, center: complex = 1.0) -> complex:
     """(1/(2 pi i))^r times the iterated contour integral of fn over r circles."""
-    nodes, w = _circle(n, rho, center)
-    if r == 1:
-        return complex((fn([nodes]) * w).sum())
-    rest = _rest_views(nodes, r)
-    w_rest = _rest_weight(w, r)
     total = 0j
-    for i in range(n):
-        vals = fn([nodes[i]] + rest)
-        total += w[i] * (vals * w_rest).sum()
+    for w_i, zs, w_rest in _torus(r, n, rho, center):
+        total += w_i * (fn(zs) * w_rest).sum()
     return complex(total)
 
 
@@ -393,18 +435,6 @@ def secondary_weight_functions(zs, zeta, a_sign: int, q):
 # Q1
 
 
-@dataclass(frozen=True)
-class Q1Result:
-    q: int
-    r: int
-    D: int
-    value: float
-    imag_rel: float
-    tail_estimate: float
-    refine_delta: float | None
-    note: str = ""
-
-
 def _q1_kernel(zs, q, r):
     out = 1
     for i in range(r):
@@ -413,6 +443,22 @@ def _q1_kernel(zs, q, r):
     for z in zs:
         out = out * (1 - z) ** (-2 * r) * z ** (-r)
     return out
+
+
+def _q1_slices(q: int, r: int, euler: EulerSpec, quad: QuadSpec):
+    """The Q1 integrand slice by slice: (w_i, base, extra, prod z).
+
+    base is A times the kernel times w_rest; extra is base times
+    prod (1 - sqrt(q) z), the core of the even degrees.
+    """
+    sq = q**0.5
+    for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
+        kern = _q1_kernel(zs, q, r) * w_rest
+        base = euler_product_level_one(zs, q, euler.pmax) * kern
+        extra = base
+        for z in zs:
+            extra = extra * (1 - sq * z)
+        yield w_i, base, extra, _product(zs)
 
 
 def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
@@ -424,43 +470,13 @@ def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     degrees = sorted(set(degrees))
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be >= 1")
-    n, rho = quad.n_points, quad.rho
-    nodes, w = _circle(n, rho)
-    sq = q**0.5
-    sign = (-1) ** (r * (r + 1) // 2)
     acc = {d: 0j for d in degrees}
-    if r == 1:
-        zlist = [nodes]
-        kern = _q1_kernel(zlist, q, r)
-        a_val = euler_product_level_one(zlist, q, euler.pmax)
-        extra = 1 - sq * nodes
-        prodz = nodes
+    for w_i, base, extra, prodz in _q1_slices(q, r, euler, quad):
         for d in degrees:
-            if d % 2 == 0:
-                acc[d] = ((extra * a_val * kern) * prodz ** (-(d // 2)) * w).sum()
-            else:
-                acc[d] = ((a_val * kern) * prodz ** (-((d - 1) // 2)) * w).sum()
-    else:
-        rest = _rest_views(nodes, r)
-        w_rest = _rest_weight(w, r)
-        for i in range(n):
-            zlist = [nodes[i]] + rest
-            kern = _q1_kernel(zlist, q, r) * w_rest
-            a_val = euler_product_level_one(zlist, q, euler.pmax)
-            base = a_val * kern
-            extra = base
-            for z in zlist:
-                extra = extra * (1 - sq * z)
-            prodz = zlist[0]
-            for z in zlist[1:]:
-                prodz = prodz * z
-            for d in degrees:
-                if d % 2 == 0:
-                    acc[d] += w[i] * (extra * prodz ** (-(d // 2))).sum()
-                else:
-                    acc[d] += w[i] * (base * prodz ** (-((d - 1) // 2))).sum()
-    pref_even = (1 - 1 / q) * (1 - sq) ** (-r) * sign / factorial(r)
-    pref_odd = (1 - 1 / q) * sign / factorial(r)
+            core = extra if d % 2 == 0 else base
+            acc[d] += w_i * (core * prodz ** (-(d // 2))).sum()
+    pref_even = (1 - 1 / q) * (1 - q**0.5) ** (-r) * _sign(r) / factorial(r)
+    pref_odd = (1 - 1 / q) * _sign(r) / factorial(r)
     return {
         d: complex((pref_even if d % 2 == 0 else pref_odd) * acc[d])
         for d in degrees
@@ -468,20 +484,15 @@ def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
 
 
 def q1_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
-                   quad: QuadSpec = QuadSpec(), refine: bool = True) -> Q1Result:
-    val = q1_profile(q, r, [D], euler, quad)[D]
-    delta = None
-    if refine and quad.n_points // 2 >= MIN_REFINE_POINTS:
-        half_quad = QuadSpec(rho=quad.rho, n_points=quad.n_points // 2)
-        coarse = q1_profile(q, r, [D], euler, half_quad)[D]
-        delta = abs(val - coarse) / max(abs(val), 1e-300)
+                   quad: QuadSpec = QuadSpec(), refine: bool = True) -> Coefficient:
+    def value_at(spec: QuadSpec) -> complex:
+        return q1_profile(q, r, [D], euler, spec)[D]
+
+    val = value_at(quad)
+    tail = level_one_tail_estimate(q, r, euler.pmax)
+    delta = _refine_delta(val, value_at, quad, refine)
     note = "" if r >= 4 else "outside the r >= 4 range of the moment prediction"
-    return Q1Result(
-        q=q, r=r, D=D, value=val.real,
-        imag_rel=abs(val.imag) / max(abs(val), 1e-300),
-        tail_estimate=level_one_tail_estimate(q, r, euler.pmax),
-        refine_delta=delta, note=note,
-    )
+    return Coefficient.of(q, r, D, val, tail, delta, note=note)
 
 
 def q1_coefficient_circle(q: int, r: int, D: int,
@@ -493,46 +504,19 @@ def q1_coefficient_circle(q: int, r: int, D: int,
     Integrates the level-one principal part over |xi| = q^(-2) instead of
     extracting the coefficient analytically; much slower, used in tests.
     """
-    n, rho = quad.n_points, quad.rho
-    nodes, w = _circle(n, rho)
-    rest = _rest_views(nodes, r)
-    w_rest = _rest_weight(w, r)
     sq = q**0.5
-    sign = (-1) ** (r * (r + 1) // 2)
     xi_nodes, xi_w = _circle(n_xi, q ** (-2.0), center=0.0)
     out = 0j
-    for i in range(n):
-        zlist = [nodes[i]] + rest
-        kern = _q1_kernel(zlist, q, r) * w_rest
-        a_val = euler_product_level_one(zlist, q, euler.pmax)
-        prodz = zlist[0]
-        for z in zlist[1:]:
-            prodz = prodz * z
-        extra = a_val * kern
-        for z in zlist:
-            extra = extra * (1 - sq * z)
-        base = a_val * kern
+    for w_i, base, extra, prodz in _q1_slices(q, r, euler, quad):
         for xi, wx in zip(xi_nodes, xi_w):
             pole = 1 / (1 - q**2 * xi**2 / prodz)
             piece = ((1 - sq) ** (-r)) * extra * pole + q * xi * base * pole
-            out += wx * xi ** (-D - 1) * w[i] * piece.sum()
-    return (1 - 1 / q) * sign / factorial(r) * out * q ** (-D)
+            out += wx * xi ** (-D - 1) * w_i * piece.sum()
+    return (1 - 1 / q) * _sign(r) / factorial(r) * out * q ** (-D)
 
 
 # ---------------------------------------------------------------------------
 # Q2
-
-
-@dataclass(frozen=True)
-class Q2Result:
-    q: int
-    r: int
-    D: int
-    value: float
-    imag_rel: float
-    tail_estimate: float
-    refine_delta: float | None
-    by_zeta: dict = field(default_factory=dict)
 
 
 def _q2_kernel(zs, r):
@@ -579,26 +563,19 @@ def q2_term_profile(q: int, r: int, degrees, zeta: complex,
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be >= 1")
     a_sign = 1 if (zeta**2).real > 0 else -1
-    n, rho = quad.n_points, quad.rho
-    nodes, w = _circle(n, rho)
-    rest = _rest_views(nodes, r)
-    w_rest = _rest_weight(w, r)
-    sign = (-1) ** (r * (r + 1) // 2)
     acc = {d: [0j, 0j] for d in degrees}
-    for i in range(n):
-        zlist = [nodes[i]] + rest
-        g1, g2 = secondary_weight_functions(zlist, zeta, a_sign, q)
-        sreg = euler_product_regularized(zlist, zeta, a_sign, q, euler.pmax)
-        kern = _q2_kernel(zlist, r) * w_rest * sreg
+    for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
+        g1, g2 = secondary_weight_functions(zs, zeta, a_sign, q)
+        sreg = euler_product_regularized(zs, zeta, a_sign, q, euler.pmax)
+        kern = _q2_kernel(zs, r) * w_rest * sreg
         core1 = g1 * kern
         core2 = g2 * kern
-        tailprod = zlist[3]
-        for z in zlist[4:]:
-            tailprod = tailprod * z
+        tailprod = _product(zs[3:])
         for d in degrees:
             damp = tailprod ** (-d)
-            acc[d][0] += w[i] * (core1 * damp).sum()
-            acc[d][1] += w[i] * (core2 * damp).sum()
+            acc[d][0] += w_i * (core1 * damp).sum()
+            acc[d][1] += w_i * (core2 * damp).sum()
+    sign = _sign(r)
     return {d: (complex(sign * acc[d][0]), complex(sign * acc[d][1]))
             for d in degrees}
 
@@ -621,7 +598,7 @@ def q2_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
 
 
 def q2_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
-                   quad: QuadSpec = Q2_QUAD, refine: bool = True) -> Q2Result:
+                   quad: QuadSpec = Q2_QUAD, refine: bool = True) -> Coefficient:
     """Q2(D, q): the coefficient of q^(3D/4) in the moment prediction."""
 
     def assemble(spec: QuadSpec) -> tuple[complex, dict]:
@@ -629,16 +606,9 @@ def q2_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
         return sum(zeta**D * piece for zeta, piece in by_zeta.items()), by_zeta
 
     val, by_zeta = assemble(quad)
-    delta = None
-    if refine and quad.n_points // 2 >= MIN_REFINE_POINTS:
-        coarse, _ = assemble(QuadSpec(rho=quad.rho, n_points=quad.n_points // 2))
-        delta = abs(val - coarse) / max(abs(val), 1e-300)
     tail = max(regularized_tail_estimate(q, r, s, euler.pmax) for s in (1, -1))
-    return Q2Result(
-        q=q, r=r, D=D, value=val.real,
-        imag_rel=abs(val.imag) / max(abs(val), 1e-300),
-        tail_estimate=tail, refine_delta=delta, by_zeta=by_zeta,
-    )
+    delta = _refine_delta(val, lambda spec: assemble(spec)[0], quad, refine)
+    return Coefficient.of(q, r, D, val, tail, delta, by_zeta=by_zeta)
 
 
 def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
@@ -887,7 +857,6 @@ def symmetric_pair_sum(h, a: list[complex]) -> complex:
 
 def symmetric_pair_integral(h, a: list[complex], rho: float, n: int) -> complex:
     r = len(a)
-    sign = (-1) ** (r * (r + 1) // 2)
 
     def fn(zs):
         out = h(zs)
@@ -901,7 +870,7 @@ def symmetric_pair_integral(h, a: list[complex], rho: float, n: int) -> complex:
             out = out * prod
         return out
 
-    return sign / factorial(r) * contour_integral(fn, r, rho, n)
+    return _sign(r) / factorial(r) * contour_integral(fn, r, rho, n)
 
 
 def permuted_kernel_sum(h, a: list[complex], m: int) -> complex:
@@ -930,7 +899,6 @@ def permuted_kernel_sum(h, a: list[complex], m: int) -> complex:
 def permuted_kernel_integral(h, a: list[complex], m: int, rho: float,
                              n: int) -> complex:
     r = len(a)
-    sign = (-1) ** (r * (r + 1) // 2)
 
     def fn(zs):
         num = h(zs)
@@ -956,4 +924,4 @@ def permuted_kernel_integral(h, a: list[complex], m: int, rho: float,
                 den = den * (1 + zs[k] * zs[l])
         return num / den
 
-    return sign * contour_integral(fn, r, rho, n)
+    return _sign(r) * contour_integral(fn, r, rho, n)

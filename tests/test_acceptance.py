@@ -271,8 +271,7 @@ def test_criterion_11_end_to_end_decay():
     degrees = [3, 4, 5, 6, 7]
     preds = pr.moment_prediction(q, r, degrees, 1, pr.EulerSpec(16),
                                  pr.QuadSpec(0.1, 64))
-    rows = moments.residual_table(q, r, degrees, preds, theta=0.55,
-                                  workers=WORKERS)
+    rows = moments.residual_table(q, r, degrees, preds, theta=0.55)
     print("\nD,moment_a,moment_b,moment,prediction,residual,"
           "normalized_theta,residual_over_q34")
     ratios = []

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import qlmoments
+from qlmoments import predictor
 
 # the CLI subprocesses import the same tree as this test process
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qlmoments.__file__)))
@@ -91,8 +92,7 @@ def test_verify_theta_window_is_per_term_count():
 
 def test_verify_pipeline_small():
     p = run_cli("verify", "--q", "5", "--r", "2", "--dmin", "1", "--dmax", "2",
-                "--N", "1", "--theta", "0.55", "--quad", "16", "--pmax", "6",
-                "--workers", "1")
+                "--N", "1", "--theta", "0.55", "--quad", "16", "--pmax", "6")
     assert p.returncode == 0
     lines = p.stdout.strip().splitlines()
     assert lines[0] == "D,moment_a,moment_b,moment,prediction,residual,normalized"
@@ -100,8 +100,7 @@ def test_verify_pipeline_small():
     assert "np." not in p.stdout
     # determinism
     p2 = run_cli("verify", "--q", "5", "--r", "2", "--dmin", "1", "--dmax", "2",
-                 "--N", "1", "--theta", "0.55", "--quad", "16", "--pmax", "6",
-                 "--workers", "1")
+                 "--N", "1", "--theta", "0.55", "--quad", "16", "--pmax", "6")
     assert p.stdout == p2.stdout
 
 
@@ -132,6 +131,40 @@ def test_verify_golden_stdout(n_terms):
     p = run_cli(*VERIFY_GOLDEN_ARGS, "--N", n_terms)
     assert p.returncode == 0
     assert p.stdout == VERIFY_GOLDEN[n_terms]
+
+
+# stdout of the benchmark's `predict q1|q2 --D 6 --quad 16`, pinned byte for
+# byte so that a change in how the contour grid is walked shows
+PREDICT_GOLDEN = {
+    "q1": (
+        '{"D": 6, "imag_rel": 4.610420036250534e-11, "kind": "q1", "q": 5, '
+        '"r": 4, "refinement_delta": 1.007826580029181e-06, '
+        '"truncation_tail": 2.5431339709116964e-07, "value": 70.95844126658913}\n'
+    ),
+    "q2": (
+        '{"D": 6, "imag_rel": 1.3795111435791186e-08, "kind": "q2", "q": 5, '
+        '"r": 4, "refinement_delta": 2.257410265130109e-05, '
+        '"truncation_tail": 0.44965122249212164, "value": -0.35097736275810193}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("which", ["q1", "q2"])
+def test_predict_golden_stdout(which):
+    p = run_cli("predict", which, "--D", "6", "--quad", "16")
+    assert p.returncode == 0
+    assert p.stdout == PREDICT_GOLDEN[which]
+
+
+def test_verify_json_names_the_second_term_radius():
+    # --rho sets the Q1 contour only; the Q2 term runs on Q2_QUAD.rho
+    args = ("verify", "--q", "5", "--r", "4", "--dmin", "1", "--dmax", "1",
+            "--rho", "0.3", "--quad", "8", "--pmax", "6", "--format", "json")
+    one = json.loads(run_cli(*args, "--N", "1").stdout)["config"]
+    two = json.loads(run_cli(*args, "--N", "2").stdout)["config"]
+    assert one["rho"] == two["rho"] == 0.3
+    assert "rho_q2" not in one
+    assert two["rho_q2"] == predictor.Q2_QUAD.rho
 
 
 def test_selftest_passes():

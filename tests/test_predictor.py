@@ -73,6 +73,19 @@ class TestEntryValidation:
             pr.q2_coefficient(Q, 4, D, self.EULER, self.QUAD, refine=False)
 
 
+class TestContour:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_simple_poles_have_unit_residue(self, r):
+        # r = 1 is one vectorised slice, r > 1 one slice per node of z_1
+        def fn(zs):
+            out = 1
+            for z in zs:
+                out = out / (z - 1)
+            return out
+
+        assert abs(pr.contour_integral(fn, r, 0.1, 16) - 1) < 1e-12
+
+
 class TestLevelOneEuler:
     def test_zero_point_is_trivial(self):
         zs = [0.0] * 4
@@ -297,6 +310,23 @@ class TestQ1:
         # even and odd degrees use different integrand cores, both finite
         prof = pr.q1_profile(Q, 3, [2, 3], pr.EulerSpec(6), pr.QuadSpec(0.1, 16))
         assert abs(prof[2]) > 0 and abs(prof[3]) > 0
+
+    # q1_profile(5, 1, [1..6], EulerSpec(6), QuadSpec(0.1, 16)) from a
+    # vectorised r = 1 evaluation that multiplies the integrand in another
+    # order than the torus walk, so the two agree to rounding only
+    R1_PROFILE = {
+        1: 0.9450666143040864 + 1.1102230246251565e-16j,
+        2: 0.4087232518709292 + 1.2574650122553504e-16j,
+        3: 1.6080234695522764 + 2.220446049250313e-16j,
+        4: 1.0716801071191102 - 1.4371028711489718e-16j,
+        5: 2.2709803248004774 + 1.9984014443252818e-16j,
+        6: 1.7346369623672582 + 2.8742057422979436e-16j,
+    }
+
+    def test_rank_one_profile_matches_vectorised_route(self):
+        got = pr.q1_profile(Q, 1, range(1, 7), pr.EulerSpec(6), pr.QuadSpec(0.1, 16))
+        for D, want in self.R1_PROFILE.items():
+            assert abs(got[D] - want) <= 1e-14 * abs(want)
 
     def test_circle_mode_matches_analytic_extraction(self):
         quad = pr.QuadSpec(0.1, 16)
