@@ -3,9 +3,7 @@
 Subcommands: moments, predict q1|q2, roots, cocycle eval|gamma-table,
 verify, selftest.  All output is deterministic for a fixed configuration;
 the seconds column of moments is zeroed unless --timing is passed.
-The worker count of the per-d reference routes can be overridden with the
-QLM_WORKERS environment variable.  Invalid input ends in one line on
-stderr and exit status 2.
+Invalid input ends in one line on stderr and exit status 2.
 """
 
 from __future__ import annotations

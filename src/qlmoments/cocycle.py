@@ -247,18 +247,14 @@ def gamma_table_entry(zeta_power: int, q: int) -> KNum:
     Here w = w_1 w_2 w_3 w_{r+1} (evaluated at rank 3, where the value is
     rank-independent), zeta = i^zeta_power, and sgn = zeta^2 in {+1, -1}.
     The four cases zeta in {1, -1, i, -i} are the degree-two residue table.
+    This is the level-two residue factor of alpha = (1, 1, 1, 2) at xi = 1,
+    divided by 8 = 2^len(w) * 2 (the word's power of two and the halves of
+    the sandwich column).
     """
     zeta = KNum.fourth_root_of_unity(q, zeta_power)
     sgn = 1 if zeta_power % 2 == 0 else -1
-    one = KNum.one(q)
-    half = KNum.rational("1/2", q)
-    inv_sq = one / KNum.sqrt_q(q)
-    z = (inv_sq, inv_sq, inv_sq, zeta.inv() / KNum.root4(q, 3))
-    qk = KNum.rational(q, q)
-    m = mbar_matrix((1, 2, 3, 4), z, qk, KNum.sqrt_q(q), half)
-    col = (one, KNum.rational(sgn, q), one)
-    row0 = mat_vec(m, col)
-    return row0[0] + row0[1]
+    return gamma_factor_exact((1, 2, 3, 4), Root((1, 1, 1, 2)), 1, sgn,
+                              zeta, q) / 8
 
 
 def gamma_table_polynomial(zeta_power: int, q: int) -> KNum:

@@ -5,16 +5,22 @@ Elements are stored as four Gaussian-rational coordinates on the basis
 residue machinery evaluates at: q^(1/4) = t, sqrt(q) = t^2, their inverses,
 the fourth roots of unity, and rationalized values like 1/(1 - sqrt(q)).
 
-t^4 - q is irreducible over Q(i) for any prime q (no Gaussian-rational
-fourth root or square root of q exists), which is checked at construction;
-inversion goes through the extended Euclidean algorithm in Q(i)[t] and
-aborts if a nontrivial common factor with t^4 - q ever appears.
+Inversion takes the norm down the tower K > Q(i)(sqrt q) > Q(i): x times
+its conjugate under t -> -t lies in Q(i)(sqrt q), and that times its
+conjugate under sqrt q -> -sqrt q is the norm n of x, an element of Q(i);
+1/x is the product of the two conjugates divided by n.  The moduli q are
+primes q = 1 mod 4 (checked at construction), for which t^4 - q is
+irreducible over Q(i) (Eisenstein at a Gaussian prime factor of q).  So K
+is a field, t -> -t and sqrt q -> -sqrt q are field automorphisms, and the
+norm, a product of nonzero conjugates, vanishes only at x = 0; inversion
+raises ArithmeticError should it ever vanish elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .ffpoly import _require_modulus
@@ -37,70 +43,46 @@ def _gmul(a: _Gauss, b: _Gauss) -> _Gauss:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _gdiv(a: _Gauss, b: _Gauss) -> _Gauss:
-    den = b[0] * b[0] + b[1] * b[1]
-    if den == 0:
-        raise ZeroDivisionError("division by zero in Q(i)")
-    return ((a[0] * b[0] + a[1] * b[1]) / den, (a[1] * b[0] - a[0] * b[1]) / den)
-
-
 _GZERO: _Gauss = (Frac(0), Frac(0))
-_GONE: _Gauss = (Frac(1), Frac(0))
 
 
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == _GZERO:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list, b: list):
-    """Division in Q(i)[t]; b nonzero."""
-    a = list(a)
-    q_out = [_GZERO] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and a:
-        c = _gdiv(a[-1], lead)
-        shift = len(a) - len(b)
-        q_out[shift] = c
-        for j in range(len(b)):
-            a[shift + j] = _gsub(a[shift + j], _gmul(c, b[j]))
-        a = _poly_trim(a)
-    return q_out, a
+def _isum(*terms: tuple[int, tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
+    """Sum of k * x * y over (k, x, y), with x and y Gaussian integers (re, im)."""
+    re = im = 0
+    for k, x, y in terms:
+        re += k * (x[0] * y[0] - x[1] * y[1])
+        im += k * (x[0] * y[1] + x[1] * y[0])
+    return re, im
 
 
 def _kinv_coords(coords: tuple[_Gauss, ...], q: int) -> tuple[_Gauss, ...]:
-    """Inverse of a nonzero element via xgcd with the defining polynomial."""
-    f = _poly_trim(list(coords))
-    if not f:
+    """Inverse of a nonzero element by its norm down K > Q(i)(s) > Q(i), s = t^2.
+
+    With x = A + tB, A = c0 + c2 s and B = c1 + c3 s, x (A - tB) = a + b s and
+    (a + b s)(a - b s) = n lies in Q(i), so 1/x = (A - tB)(a - b s) / n.  The
+    coordinates are scaled by the lcm of their denominators first, so the
+    norm is taken on Gaussian integers; Fractions are built for the result only.
+    """
+    if all(c == _GZERO for c in coords):
         raise ZeroDivisionError("inversion of zero in K")
-    m = [(Frac(-q), Frac(0)), _GZERO, _GZERO, _GZERO, _GONE]  # t^4 - q
-    # extended Euclid: r0 = m, r1 = f, track coefficients of f only
-    r0, r1 = m, f
-    s0, s1 = [_GZERO], [_GONE]
-    while r1:
-        quo, rem = _poly_divmod(r0, r1)
-        # s_next = s0 - quo*s1
-        prod = [_GZERO] * (len(quo) + len(s1) - 1) if quo and s1 else []
-        for i, qc in enumerate(quo):
-            if qc != _GZERO:
-                for j, sc in enumerate(s1):
-                    prod[i + j] = _gadd(prod[i + j], _gmul(qc, sc))
-        s_next = [_GZERO] * max(len(s0), len(prod))
-        for i, v in enumerate(s0):
-            s_next[i] = v
-        for i, v in enumerate(prod):
-            s_next[i] = _gsub(s_next[i], v)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_trim(s_next)
-    if len(r0) != 1:
+    scale = lcm(*(v.denominator for c in coords for v in c))
+    c0, c1, c2, c3 = [(re.numerator * (scale // re.denominator),
+                       im.numerator * (scale // im.denominator))
+                      for re, im in coords]
+    a = _isum((1, c0, c0), (q, c2, c2), (-2 * q, c1, c3))
+    b = _isum((2, c0, c2), (-1, c1, c1), (-q, c3, c3))
+    n = _isum((1, a, a), (-q, b, b))
+    if n == (0, 0):
         raise ArithmeticError(
-            "nontrivial gcd with t^4 - q: defining polynomial not irreducible"
-        )
-    g = r0[0]
-    out = [_gdiv(c, g) for c in s0]
-    out += [_GZERO] * (4 - len(out))
-    return tuple(out[:4])
+            "zero norm of a nonzero element: t^4 - q not irreducible over Q(i)")
+    den = n[0] * n[0] + n[1] * n[1]
+    n_bar = (n[0], -n[1])
+    out = []
+    for num in (_isum((1, c0, a), (-q, c2, b)), _isum((q, c3, b), (-1, c1, a)),
+                _isum((1, c2, a), (-1, c0, b)), _isum((1, c1, b), (-1, c3, a))):
+        re, im = _isum((scale, num, n_bar))
+        out.append((Frac(re, den), Frac(im, den)))
+    return tuple(out)
 
 
 Scalar = Union[int, Fraction]

@@ -6,11 +6,11 @@ character sums a_n = sum over monic m of degree n of (d/m).  They are
 computed by seeding the symbol at irreducibles and extending
 multiplicatively through a factor sieve, one degree at a time.
 
-A second route ("reflect") computes only the low half of the coefficients
-and recovers the rest exactly from the functional equation; every division
-it performs must be exact in the integers, which is asserted.  The moment
-oracle uses this route; the straight sieve route is the reference
-implementation and the two are cross-checked in the test suite.
+The moment oracle computes only the low half of the coefficients, for all
+d of a degree at once, and recovers the rest exactly from the functional
+equation (_reflect_coefficients); every division it performs must be
+exact in the integers, which is asserted.  The straight sieve route here
+is the per-d reference and the two are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -121,59 +121,50 @@ def _reflect_coefficients(low: list[int], deg_d: int, q: int) -> list[int]:
     return a
 
 
-def l_coefficients(d: FqPoly, sieve: FactorSieve | None = None,
-                   method: str = "sieve") -> list[int]:
-    """Integer coefficient list of L(s, chi_d), length deg(d).
-
-    method "sieve" sums characters at every degree up to deg(d) - 1;
-    "reflect" sums only the low half and completes by the functional
-    equation.  Both are exact.
-    """
+def l_coefficients(d: FqPoly, sieve: FactorSieve | None = None) -> list[int]:
+    """Integer coefficient list of L(s, chi_d), length deg(d), summing
+    characters at every degree up to deg(d) - 1."""
     _check_d(d)
-    big = d.degree
-    if big == 0:
+    if d.degree == 0:
         raise ValueError("d must be non-constant here")
-    if method == "sieve":
-        return character_row_sums(d, big - 1, sieve)
-    if method == "reflect":
-        low = character_row_sums(d, _half_degree(big), sieve)
-        return _reflect_coefficients(low, big, d.q)
-    raise ValueError(f"unknown method {method!r}")
+    return character_row_sums(d, d.degree - 1, sieve)
 
 
 def l_polynomial(d: FqPoly, sieve: FactorSieve | None = None) -> LPolynomial:
-    return LPolynomial(d, tuple(l_coefficients(d, sieve, method="sieve")))
+    return LPolynomial(d, tuple(l_coefficients(d, sieve)))
 
 
-def l_at_half_pair(d: FqPoly, sieve: FactorSieve | None = None,
-                   method: str = "reflect") -> tuple[Fraction, Fraction]:
+def _central_pair(coeffs: list[int], q: int) -> tuple[int, int]:
+    """(u, v) with q^m L(1/2) = u + v sqrt(q), m = len(coeffs) // 2.
+
+    L(1/2) = sum_n a_n q^(-n/2): even n land in u, odd n in v.
+    """
+    m = len(coeffs) // 2
+    u = v = 0
+    for n, c in enumerate(coeffs):
+        if n % 2 == 0:
+            u += c * q ** (m - n // 2)
+        else:
+            v += c * q ** (m - (n + 1) // 2)
+    return u, v
+
+
+def l_at_half_pair(d: FqPoly, sieve: FactorSieve | None = None
+                   ) -> tuple[Fraction, Fraction]:
     """L(1/2, chi_d) = a + b*sqrt(q) with exact rational a, b."""
     q = d.q
     if d.degree == 0:
-        # 1/(1 -+ sqrt(q)) rationalized against the conjugate
-        den = 1 - q
-        if d.sign() == 1:
-            return Fraction(1, den), Fraction(1, den)
-        return Fraction(1, den), Fraction(-1, den)
-    _check_d(d)
-    coeffs = l_coefficients(d, sieve, method)
-    a = Fraction(0)
-    b = Fraction(0)
-    for n, c in enumerate(coeffs):
-        if n % 2 == 0:
-            a += Fraction(c, q ** (n // 2))
-        else:
-            b += Fraction(c, q ** ((n + 1) // 2))
-    return a, b
+        # 1/(1 -+ sqrt(q))
+        return (zeta_at_half(q) if d.sign() == 1 else l_at_half_unit(q)).sqrt_pair()
+    coeffs = l_coefficients(d, sieve)
+    u, v = _central_pair(coeffs, q)
+    den = q ** (len(coeffs) // 2)
+    return Fraction(u, den), Fraction(v, den)
 
 
 def l_at_half(d: FqPoly, sieve: FactorSieve | None = None) -> KNum:
     """Exact L(1/2, chi_d) as an element of Q(sqrt q) inside K."""
-    q = d.q
-    if d.degree == 0:
-        return zeta_at_half(q) if d.sign() == 1 else l_at_half_unit(q)
-    a, b = l_at_half_pair(d, sieve)
-    return KNum.from_sqrt_pair(a, b, q)
+    return KNum.from_sqrt_pair(*l_at_half_pair(d, sieve), d.q)
 
 
 def l_eval(d: FqPoly, s: complex, sieve: FactorSieve | None = None,

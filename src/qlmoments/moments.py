@@ -33,6 +33,7 @@ from math import prod
 import numpy as np
 
 from . import ffpoly, lfunc
+from .exactnum import zeta_at_half
 from .ffpoly import BudgetExceededError, FqPoly
 from .lfunc import _half_degree
 
@@ -94,15 +95,9 @@ def _estimated_ops(q: int, D: int, method: str) -> int:
     return q ** (2 * D - 1)
 
 
-def _scaled_power(a_list: list[int], q: int, D: int, r: int) -> tuple[int, int]:
-    """(u + v sqrt q)^r for q^m L(1/2) = u + v sqrt q, m = ceil((D-1)/2)."""
-    m_scale = D // 2
-    u = v = 0
-    for n, c in enumerate(a_list):
-        if n % 2 == 0:
-            u += c * q ** (m_scale - n // 2)
-        else:
-            v += c * q ** (m_scale - (n + 1) // 2)
+def _scaled_power(a_list: list[int], q: int, r: int) -> tuple[int, int]:
+    """(u + v sqrt q)^r for q^m L(1/2) = u + v sqrt q, m = len(a_list) // 2."""
+    u, v = lfunc._central_pair(a_list, q)
     pu, pv = 1, 0
     for _ in range(r):
         pu, pv = pu * u + q * pv * v, pu * v + pv * u
@@ -128,8 +123,8 @@ def _moment_slab(q: int, r: int, D: int, top: int,
                 for n in range(1, D)
             ]
         else:
-            a_list = lfunc.l_coefficients(FqPoly(coeffs, q), sieve, method=method)
-        pu, pv = _scaled_power(a_list, q, D, r)
+            a_list = lfunc.l_coefficients(FqPoly(coeffs, q), sieve)
+        pu, pv = _scaled_power(a_list, q, r)
         su += pu
         sv += pv
     return su, sv, count
@@ -268,7 +263,7 @@ def _table_moment(q: int, r: int, D: int) -> tuple[int, int, int]:
     su = sv = count = 0
     for low, mult in low_half_histogram(q, D).items():
         pu, pv = _scaled_power(lfunc._reflect_coefficients(list(low), D, q),
-                               q, D, r)
+                               q, r)
         su += mult * pu
         sv += mult * pv
         count += mult
@@ -317,11 +312,7 @@ def moment(q: int, r: int, D: int, workers: int = 1, method: str = "reflect",
 
 def zeroth_moment_pair(q: int, r: int) -> tuple[Fraction, Fraction]:
     """Exact (1 - sqrt q)^(-r) = a + b sqrt(q): the degree-zero term d = 1."""
-    a, b = Fraction(1), Fraction(0)
-    ia, ib = Fraction(1, 1 - q), Fraction(1, 1 - q)  # 1/(1-sqrt q)
-    for _ in range(r):
-        a, b = a * ia + q * b * ib, a * ib + b * ia
-    return a, b
+    return (zeta_at_half(q) ** r).sqrt_pair()
 
 
 def generating_series(q: int, r: int, d_max: int, xi: complex,
@@ -365,7 +356,4 @@ def residual_table(q: int, r: int, degrees: list[int],
 
 
 def default_workers() -> int:
-    env = os.environ.get("QLM_WORKERS")
-    if env:
-        return max(1, int(env))
     return min(8, os.cpu_count() or 1)

@@ -749,26 +749,25 @@ class _Series:
         return out
 
 
+def _regularized_factor(r: int, t):
+    """The central regularized local polynomial at t, a float or a _Series."""
+    bracket = (t + t**2) * (t + 6 * t**2 + t**3) \
+        + Fraction(1, 2) * (1 + t) ** (4 - r) \
+        + Fraction(1, 2) * (1 - t) ** (-r) * (1 + 10 * t + 20 * t**2 + 10 * t**3 + t**4)
+    return (1 - t) ** ((r * r + 7 * r - 14) // 2) \
+        * (1 + t) ** ((r * r + 7 * r - 28) // 2) * bracket
+
+
 def regularized_factor_series(r: int, n_terms: int = 8) -> list[Fraction]:
     """Exact expansion of the central regularized local polynomial in t."""
     if r < 3:
         raise ValueError("needs r >= 3")
-    t = _Series.var(n_terms)
-    bracket = (t + t**2) * (t + 6 * t**2 + t**3) \
-        + Fraction(1, 2) * (1 + t) ** (4 - r) \
-        + Fraction(1, 2) * (1 - t) ** (-r) * (1 + 10 * t + 20 * t**2 + 10 * t**3 + t**4)
-    full = (1 - t) ** ((r * r + 7 * r - 14) // 2) \
-        * (1 + t) ** ((r * r + 7 * r - 28) // 2) * bracket
-    return full.c
+    return _regularized_factor(r, _Series.var(n_terms)).c
 
 
 def regularized_factor_value(r: int, t: float) -> float:
     """Numeric evaluation of the same closed product, for |t| < 1."""
-    bracket = (t + t**2) * (t + 6 * t**2 + t**3) \
-        + 0.5 * (1 + t) ** (4 - r) \
-        + 0.5 * (1 - t) ** (-r) * (1 + 10 * t + 20 * t**2 + 10 * t**3 + t**4)
-    return (1 - t) ** ((r * r + 7 * r - 14) // 2) \
-        * (1 + t) ** ((r * r + 7 * r - 28) // 2) * bracket
+    return _regularized_factor(r, t)
 
 
 def rank3_local_poly(x, y):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qlmoments.exactnum import KNum, l_at_half_unit, zeta_at_half
 
@@ -84,6 +84,38 @@ def test_mass_inverse_roundtrip():
         if x.is_zero:
             continue
         assert x * x.inv() == one
+
+
+_BIG = 10**12
+_RATIONALS = st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG))
+
+
+@st.composite
+def sparse_k(draw):
+    """A K element with q in {5, 13, 17}: a monomial, an element of Q(i), of
+    Q(sqrt q), or a full element with random zero coordinates."""
+    q = draw(st.sampled_from([5, 13, 17]))
+    shape = draw(st.sampled_from(["monomial", "gaussian", "sqrt", "full"]))
+    coords = [[Fraction(0), Fraction(0)] for _ in range(4)]
+    if shape == "monomial":
+        coords[draw(st.integers(0, 3))] = [draw(_RATIONALS), draw(_RATIONALS)]
+    elif shape == "gaussian":
+        coords[0] = [draw(_RATIONALS), draw(_RATIONALS)]
+    elif shape == "sqrt":
+        coords[0][0], coords[2][0] = draw(_RATIONALS), draw(_RATIONALS)
+    else:
+        for c in coords:
+            for part in range(2):
+                if draw(st.booleans()):
+                    c[part] = draw(_RATIONALS)
+    return KNum(tuple(tuple(c) for c in coords), q)
+
+
+@given(sparse_k())
+@settings(max_examples=300, deadline=None)
+def test_inverse_roundtrip_large_denominators(x):
+    assume(not x.is_zero)
+    assert x * x.inv() == KNum.one(x.q)
 
 
 @given(st.lists(st.integers(-5, 5), min_size=16, max_size=16))

@@ -32,20 +32,22 @@ class TestLPolynomial:
 
     @pytest.mark.parametrize("deg", [1, 2, 3, 4, 5])
     def test_reflection_equals_sieve_exhaustive(self, sieve5, deg):
+        h = lfunc._half_degree(deg)
         for d in enumerate_monic(5, deg, "squarefree"):
-            assert lfunc.l_coefficients(d, sieve5, "sieve") == \
-                lfunc.l_coefficients(d, sieve5, "reflect")
+            full = lfunc.l_coefficients(d, sieve5)
+            assert lfunc._reflect_coefficients(full[:h + 1], deg, 5) == full
 
     def test_reflection_equals_sieve_sampled_high_degree(self, sieve5, rng):
         q = 5
         for deg in (6, 7):
+            h = lfunc._half_degree(deg)
             found = 0
             while found < 25:
                 d = FqPoly.make([rng.randrange(q) for _ in range(deg)] + [1], q)
                 if not d.is_squarefree():
                     continue
-                assert lfunc.l_coefficients(d, sieve5, "sieve") == \
-                    lfunc.l_coefficients(d, sieve5, "reflect")
+                full = lfunc.l_coefficients(d, sieve5)
+                assert lfunc._reflect_coefficients(full[:h + 1], deg, q) == full
                 found += 1
 
 

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from qlmoments import ffpoly, lfunc, moments
+from qlmoments.exactnum import KNum
 from qlmoments.ffpoly import BudgetExceededError, FqPoly
 
 
@@ -35,6 +36,17 @@ class TestOracleRoutes:
             m = moments.moment(5, 1, D)
             assert m.count == moments.squarefree_count(5, D)
         assert moments.squarefree_count(5, 3) == 100
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 4])
+    def test_power_matches_sum_of_powers_in_k(self, D, sieve5):
+        # every route takes its exact power through _scaled_power; here the
+        # r-th powers of the central values are taken and summed in K instead
+        values = [lfunc.l_at_half(d, sieve5)
+                  for d in ffpoly.enumerate_monic(5, D, "squarefree")]
+        for r in range(1, 5):
+            m = moments.moment(5, r, D)
+            total = sum((v**r for v in values), KNum.zero(5))
+            assert total == KNum.from_sqrt_pair(m.a, m.b, 5)
 
     def test_worker_invariance(self):
         # workers only parallelise the per-d reference routes
@@ -103,7 +115,7 @@ class TestTableRoute:
             coeffs = ffpoly.monic_from_index(q, D, rng.randrange(q**D))
             if not ffpoly._is_squarefree(coeffs, q):
                 continue
-            full = lfunc.l_coefficients(FqPoly(coeffs, q), sieve5, method="sieve")
+            full = lfunc.l_coefficients(FqPoly(coeffs, q), sieve5)
             low = tuple(full[:h + 1])
             assert low in hist
             assert lfunc._reflect_coefficients(list(low), D, q) == full
@@ -148,9 +160,3 @@ class TestSeriesAndResiduals:
         assert row.split(",")[:3] == ["5", "2", "2"]
         assert row.endswith("0.000")
         assert len(row.split(",")) == 8
-
-    def test_worker_env_override(self, monkeypatch):
-        monkeypatch.setenv("QLM_WORKERS", "3")
-        assert moments.default_workers() == 3
-        monkeypatch.delenv("QLM_WORKERS")
-        assert moments.default_workers() >= 1
