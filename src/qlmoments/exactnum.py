@@ -1,9 +1,15 @@
 """Exact arithmetic in K = Q(i)[t]/(t^4 - q).
 
-Elements are stored as four Gaussian-rational coordinates on the basis
-{1, t, t^2, t^3}, with t^4 reduced to q.  K holds every special value the
-residue machinery evaluates at: q^(1/4) = t, sqrt(q) = t^2, their inverses,
-the fourth roots of unity, and rationalized values like 1/(1 - sqrt(q)).
+An element is stored as eight integer numerators over one common
+denominator: the real and imaginary parts of its four coordinates on the
+basis {1, t, t^2, t^3}, with t^4 reduced to q.  The form is canonical: the
+denominator is positive and shares no factor with all eight numerators, so
+equal elements have equal numerators, denominators and hashes.  A product
+is sixteen Gaussian-integer products, the fold t^4 -> q and one gcd; the
+`Fraction` coordinates are built only when `coords` is read.  K holds every
+special value the residue machinery evaluates at: q^(1/4) = t,
+sqrt(q) = t^2, their inverses, the fourth roots of unity, and rationalized
+values like 1/(1 - sqrt(q)).
 
 Inversion takes the norm down the tower K > Q(i)(sqrt q) > Q(i): x times
 its conjugate under t -> -t lies in Q(i)(sqrt q), and that times its
@@ -18,32 +24,16 @@ raises ArithmeticError should it ever vanish elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
 from .ffpoly import _require_modulus
 
 __all__ = ["KNum", "zeta_at_half", "l_at_half_unit"]
 
-Frac = Fraction
-_Gauss = tuple[Fraction, Fraction]  # re, im
-
-
-def _gadd(a: _Gauss, b: _Gauss) -> _Gauss:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _gsub(a: _Gauss, b: _Gauss) -> _Gauss:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gmul(a: _Gauss, b: _Gauss) -> _Gauss:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-_GZERO: _Gauss = (Frac(0), Frac(0))
+Scalar = Union[int, Fraction]
+_Num = tuple[int, int, int, int, int, int, int, int]  # re, im of c0, .., c3
 
 
 def _isum(*terms: tuple[int, tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
@@ -55,57 +45,74 @@ def _isum(*terms: tuple[int, tuple[int, int], tuple[int, int]]) -> tuple[int, in
     return re, im
 
 
-def _kinv_coords(coords: tuple[_Gauss, ...], q: int) -> tuple[_Gauss, ...]:
-    """Inverse of a nonzero element by its norm down K > Q(i)(s) > Q(i), s = t^2.
+def _make(num: _Num, den: int, q: int) -> "KNum":
+    """The element num / den of K, for den > 0, in canonical form."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = tuple(v // g for v in num)
+    x = object.__new__(KNum)
+    x._num = num
+    x._den = den
+    x._q = q
+    return x
+
+
+def _inverse(num: _Num, den: int, q: int) -> "KNum":
+    """Inverse of num / den by its norm down K > Q(i)(s) > Q(i), s = t^2.
 
     With x = A + tB, A = c0 + c2 s and B = c1 + c3 s, x (A - tB) = a + b s and
     (a + b s)(a - b s) = n lies in Q(i), so 1/x = (A - tB)(a - b s) / n.  The
-    coordinates are scaled by the lcm of their denominators first, so the
-    norm is taken on Gaussian integers; Fractions are built for the result only.
+    norm is taken on the Gaussian-integer numerators c_k, so den/x is that
+    quotient and the result is den (A - tB)(a - b s) conj(n) / |n|^2.
     """
-    if all(c == _GZERO for c in coords):
+    if not any(num):
         raise ZeroDivisionError("inversion of zero in K")
-    scale = lcm(*(v.denominator for c in coords for v in c))
-    c0, c1, c2, c3 = [(re.numerator * (scale // re.denominator),
-                       im.numerator * (scale // im.denominator))
-                      for re, im in coords]
+    c0, c1, c2, c3 = num[0:2], num[2:4], num[4:6], num[6:8]
     a = _isum((1, c0, c0), (q, c2, c2), (-2 * q, c1, c3))
     b = _isum((2, c0, c2), (-1, c1, c1), (-q, c3, c3))
     n = _isum((1, a, a), (-q, b, b))
     if n == (0, 0):
         raise ArithmeticError(
             "zero norm of a nonzero element: t^4 - q not irreducible over Q(i)")
-    den = n[0] * n[0] + n[1] * n[1]
     n_bar = (n[0], -n[1])
     out = []
-    for num in (_isum((1, c0, a), (-q, c2, b)), _isum((q, c3, b), (-1, c1, a)),
-                _isum((1, c2, a), (-1, c0, b)), _isum((1, c1, b), (-1, c3, a))):
-        re, im = _isum((scale, num, n_bar))
-        out.append((Frac(re, den), Frac(im, den)))
-    return tuple(out)
+    for part in (_isum((1, c0, a), (-q, c2, b)), _isum((q, c3, b), (-1, c1, a)),
+                 _isum((1, c2, a), (-1, c0, b)), _isum((1, c1, b), (-1, c3, a))):
+        out += _isum((den, part, n_bar))
+    return _make(tuple(out), n[0] * n[0] + n[1] * n[1], q)
 
 
-Scalar = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
 class KNum:
-    """Element of Q(i)[t]/(t^4 - q); coords[j] is the Q(i) coefficient of t^j."""
+    """Element of Q(i)[t]/(t^4 - q); coords[j] is the Q(i) coefficient of t^j.
 
-    coords: tuple[_Gauss, _Gauss, _Gauss, _Gauss]
-    q: int
+    `KNum(coords, q)` takes four (re, im) rational pairs; `num` and `den`
+    are the canonical integer numerators (re, im of each coordinate in
+    turn) and their common denominator.
+    """
+
+    __slots__ = ("_num", "_den", "_q")
+
+    def __init__(self, coords, q: int):
+        parts = [v if isinstance(v, (int, Fraction)) else Fraction(v)
+                 for c in coords for v in c]
+        # over the lcm of reduced denominators, the form is already canonical
+        den = lcm(*[v.denominator for v in parts])
+        self._num = tuple([v.numerator * (den // v.denominator) for v in parts])
+        self._den = den
+        self._q = q
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def rational(cls, x: Scalar, q: int) -> "KNum":
-        _require_modulus(q)
-        return cls(((Frac(x), Frac(0)), _GZERO, _GZERO, _GZERO), q)
+        return cls.gaussian(x, 0, q)
 
     @classmethod
     def gaussian(cls, re: Scalar, im: Scalar, q: int) -> "KNum":
         _require_modulus(q)
-        return cls(((Frac(re), Frac(im)), _GZERO, _GZERO, _GZERO), q)
+        return cls(((re, im), (0, 0), (0, 0), (0, 0)), q)
 
     @classmethod
     def zero(cls, q: int) -> "KNum":
@@ -124,10 +131,9 @@ class KNum:
         """t^power, i.e. q^(power/4), for any integer power."""
         _require_modulus(q)
         whole, frac = divmod(power, 4)
-        coeff: _Gauss = (Frac(q) ** whole, Frac(0))
-        coords = [_GZERO] * 4
-        coords[frac] = coeff
-        return cls(tuple(coords), q)
+        coords = [(0, 0)] * 4
+        coords[frac] = (Fraction(q) ** whole, 0)
+        return cls(coords, q)
 
     @classmethod
     def sqrt_q(cls, q: int) -> "KNum":
@@ -145,84 +151,88 @@ class KNum:
     def from_sqrt_pair(cls, a: Scalar, b: Scalar, q: int) -> "KNum":
         """a + b*sqrt(q)."""
         _require_modulus(q)
-        return cls(((Frac(a), Frac(0)), _GZERO, (Frac(b), Frac(0)), _GZERO), q)
+        return cls(((a, 0), (0, 0), (b, 0), (0, 0)), q)
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other) -> "KNum | None":
+    def _sum(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators."""
         if isinstance(other, KNum):
-            if other.q != self.q:
+            if other._q != self._q:
                 raise ValueError("mixed K moduli")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return KNum.rational(other, self.q)
-        return None
+            num, db = other._num, other._den
+        elif isinstance(other, (int, Fraction)):
+            num, db = (other.numerator, 0, 0, 0, 0, 0, 0, 0), other.denominator
+        else:
+            return NotImplemented
+        da = self._den
+        g = gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        return _make(tuple([x * sa + y * sb for x, y in zip(self._num, num)]),
+                     da * sa, self._q)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return KNum(tuple(_gadd(a, b) for a, b in zip(self.coords, o.coords)), self.q)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return KNum(tuple(_gsub(a, b) for a, b in zip(self.coords, o.coords)), self.q)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self)._sum(other, 1)
 
     def __neg__(self):
-        return KNum(tuple((-a[0], -a[1]) for a in self.coords), self.q)
+        return _make(tuple(-v for v in self._num), self._den, self._q)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coords, o.coords
-        raw = [_GZERO] * 7
-        for i in range(4):
-            if a[i] == _GZERO:
-                continue
-            for j in range(4):
-                if b[j] != _GZERO:
-                    raw[i + j] = _gadd(raw[i + j], _gmul(a[i], b[j]))
-        qf = (Frac(self.q), Frac(0))
-        out = list(raw[:4])
-        for k in range(4, 7):
-            if raw[k] != _GZERO:
-                out[k - 4] = _gadd(out[k - 4], _gmul(raw[k], qf))
-        return KNum(tuple(out), self.q)
+        if isinstance(other, KNum):
+            q = self._q
+            if other._q != q:
+                raise ValueError("mixed K moduli")
+            a0, b0, a1, b1, a2, b2, a3, b3 = self._num
+            c0, d0, c1, d1, c2, d2, c3, d3 = other._num
+            # coefficient m of the product plus q times coefficient m + 4
+            num = (
+                a0*c0 - b0*d0 + q*(a1*c3 - b1*d3 + a2*c2 - b2*d2 + a3*c1 - b3*d1),
+                a0*d0 + b0*c0 + q*(a1*d3 + b1*c3 + a2*d2 + b2*c2 + a3*d1 + b3*c1),
+                a0*c1 - b0*d1 + a1*c0 - b1*d0 + q*(a2*c3 - b2*d3 + a3*c2 - b3*d2),
+                a0*d1 + b0*c1 + a1*d0 + b1*c0 + q*(a2*d3 + b2*c3 + a3*d2 + b3*c2),
+                a0*c2 - b0*d2 + a1*c1 - b1*d1 + a2*c0 - b2*d0 + q*(a3*c3 - b3*d3),
+                a0*d2 + b0*c2 + a1*d1 + b1*c1 + a2*d0 + b2*c0 + q*(a3*d3 + b3*c3),
+                a0*c3 - b0*d3 + a1*c2 - b1*d2 + a2*c1 - b2*d1 + a3*c0 - b3*d0,
+                a0*d3 + b0*c3 + a1*d2 + b1*c2 + a2*d1 + b2*c1 + a3*d0 + b3*c0,
+            )
+            return _make(num, self._den * other._den, q)
+        if isinstance(other, (int, Fraction)):
+            n = other.numerator
+            return _make(tuple(v * n for v in self._num),
+                         self._den * other.denominator, self._q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inv(self) -> "KNum":
-        return KNum(_kinv_coords(self.coords, self.q), self.q)
+        return _inverse(self._num, self._den, self._q)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+        if isinstance(other, KNum):
+            return self * other.inv()
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(1, other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
+        if isinstance(other, (int, Fraction)):
+            return self.inv() * other
+        return NotImplemented
 
     def __pow__(self, n: int) -> "KNum":
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        out = KNum.one(self.q)
+        out = KNum.one(self._q)
         base = self
         while n:
             if n & 1:
@@ -231,35 +241,67 @@ class KNum:
             n >>= 1
         return out
 
+    def __eq__(self, other):
+        if not isinstance(other, KNum):
+            return NotImplemented
+        return (self._num == other._num and self._den == other._den
+                and self._q == other._q)
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den, self._q))
+
     # -- queries -----------------------------------------------------------
 
     @property
+    def q(self) -> int:
+        return self._q
+
+    @property
+    def num(self) -> _Num:
+        return self._num
+
+    @property
+    def den(self) -> int:
+        return self._den
+
+    @property
+    def coords(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        n, d = self._num, self._den
+        return tuple((Fraction(n[k], d), Fraction(n[k + 1], d))
+                     for k in range(0, 8, 2))
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == _GZERO for c in self.coords)
+        return not any(self._num)
 
     def conj_i(self) -> "KNum":
         """Galois conjugate i -> -i (t fixed)."""
-        return KNum(tuple((c[0], -c[1]) for c in self.coords), self.q)
+        n = self._num
+        return _make((n[0], -n[1], n[2], -n[3], n[4], -n[5], n[6], -n[7]),
+                     self._den, self._q)
 
     def embed(self, root: int = 0) -> complex:
         """Numerical embedding t -> i^root * q^(1/4), i -> imaginary unit.
 
-        The default is the principal embedding with t real positive.
+        The default is the principal embedding with t real positive.  Each
+        part is the correctly rounded integer quotient num / den, the same
+        float as that of the reduced Fraction.
         """
-        t_val = (1j**root) * self.q**0.25
+        t_val = (1j**root) * self._q**0.25
+        n, d = self._num, self._den
         out = 0j
         power = 1 + 0j
-        for re, im in self.coords:
-            out += (float(re) + 1j * float(im)) * power
+        for k in range(0, 8, 2):
+            out += (n[k] / d + 1j * (n[k + 1] / d)) * power
             power *= t_val
         return out
 
     def sqrt_pair(self) -> tuple[Fraction, Fraction]:
         """Decompose x = a + b*sqrt(q) for elements of the real quadratic subfield."""
-        c = self.coords
-        if c[1] != _GZERO or c[3] != _GZERO or any(g[1] != 0 for g in c):
+        n = self._num
+        if any(n[1:4]) or any(n[5:8]):
             raise ValueError("element is not in Q(sqrt q)")
-        return c[0][0], c[2][0]
+        return Fraction(n[0], self._den), Fraction(n[4], self._den)
 
     def __repr__(self) -> str:
         names = ["", "*q^(1/4)", "*q^(1/2)", "*q^(3/4)"]
@@ -272,14 +314,14 @@ class KNum:
                     parts.append(f"{im}i{nm}")
                 else:
                     parts.append(f"({re}+{im}i){nm}")
-        return f"KNum({' + '.join(parts) or '0'}; q={self.q})"
+        return f"KNum({' + '.join(parts) or '0'}; q={self._q})"
 
 
-def zeta_at_half(q: int) -> KNum:
+def zeta_at_half(q: int) -> "KNum":
     """1/(1 - sqrt(q)) as an exact element of K."""
     return (KNum.one(q) - KNum.sqrt_q(q)).inv()
 
 
-def l_at_half_unit(q: int) -> KNum:
+def l_at_half_unit(q: int) -> "KNum":
     """1/(1 + sqrt(q)) as an exact element of K."""
     return (KNum.one(q) + KNum.sqrt_q(q)).inv()

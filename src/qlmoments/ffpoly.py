@@ -43,8 +43,8 @@ _VALID_MODULI: set[int] = set()
 def _require_modulus(q: int) -> None:
     """Raise ValueError unless q is a prime = 1 mod 4.
 
-    Each valid q is tested once: exact arithmetic in K checks the modulus
-    of every int operand it coerces.
+    Each valid q is tested once, since the named constructors of K
+    (`KNum.rational`, `KNum.one`, ...) check the modulus on every call.
     """
     if q in _VALID_MODULI:
         return

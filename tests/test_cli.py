@@ -48,13 +48,28 @@ def test_roots_jsonl():
     assert {"k", "height", "word"} <= set(rows[0])
 
 
+# stdout of `cocycle gamma-table --q 5`, pinned byte for byte so that a change
+# in how K stores its elements cannot move a printed digit
+GAMMA_TABLE_GOLDEN = (
+    '{"case": "zeta=1 sgn=+1", '
+    '"coords_1_q4_q2_q34": [["126", "0"], ["36", "0"], ["60", "0"], ["12", "0"]], '
+    '"value": [354.1210530725366, 0.0]}\n'
+    '{"case": "zeta=-1 sgn=+1", '
+    '"coords_1_q4_q2_q34": [["126", "0"], ["-36", "0"], ["60", "0"], ["-12", "0"]], '
+    '"value": [166.20710422743812, 0.0]}\n'
+    '{"case": "zeta=i sgn=-1", '
+    '"coords_1_q4_q2_q34": [["56", "0"], ["0", "-36"], ["-24", "0"], ["0", "12"]], '
+    '"value": [2.334368540005059, -13.708137825378628]}\n'
+    '{"case": "zeta=-i sgn=-1", '
+    '"coords_1_q4_q2_q34": [["56", "0"], ["0", "36"], ["-24", "0"], ["0", "-12"]], '
+    '"value": [2.334368540005059, 13.708137825378628]}\n'
+)
+
+
 def test_gamma_table_values():
     p = run_cli("cocycle", "gamma-table", "--q", "5")
-    rows = [json.loads(x) for x in p.stdout.strip().splitlines()]
-    assert len(rows) == 4
-    first = rows[0]
-    assert first["coords_1_q4_q2_q34"] == [["126", "0"], ["36", "0"],
-                                           ["60", "0"], ["12", "0"]]
+    assert p.returncode == 0
+    assert p.stdout == GAMMA_TABLE_GOLDEN
 
 
 def test_cocycle_eval_diagonal():

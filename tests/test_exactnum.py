@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -91,10 +92,11 @@ _RATIONALS = st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG))
 
 
 @st.composite
-def sparse_k(draw):
-    """A K element with q in {5, 13, 17}: a monomial, an element of Q(i), of
-    Q(sqrt q), or a full element with random zero coordinates."""
-    q = draw(st.sampled_from([5, 13, 17]))
+def sparse_k(draw, q=None):
+    """A K element with q in {5, 13, 17} unless given: a monomial, an element
+    of Q(i), of Q(sqrt q), or a full element with random zero coordinates."""
+    if q is None:
+        q = draw(st.sampled_from([5, 13, 17]))
     shape = draw(st.sampled_from(["monomial", "gaussian", "sqrt", "full"]))
     coords = [[Fraction(0), Fraction(0)] for _ in range(4)]
     if shape == "monomial":
@@ -109,6 +111,12 @@ def sparse_k(draw):
                 if draw(st.booleans()):
                     c[part] = draw(_RATIONALS)
     return KNum(tuple(tuple(c) for c in coords), q)
+
+
+def same_q(count):
+    """count K elements that share one modulus q in {5, 13, 17}."""
+    return st.sampled_from([5, 13, 17]).flatmap(
+        lambda q: st.tuples(*(sparse_k(q) for _ in range(count))))
 
 
 @given(sparse_k())
@@ -146,3 +154,160 @@ def test_scalar_coercion():
 def test_pow_negative():
     t = KNum.root4(Q)
     assert t**-4 == KNum.rational(Fraction(1, Q), Q)
+
+
+# -- reference: K on Gaussian-rational Fraction pairs -----------------------
+# An independent route for the same arithmetic, sharing no code with
+# exactnum: an element is four (re, im) Fraction pairs, the coefficients of
+# 1, t, t^2, t^3.
+
+_GZERO = (Fraction(0), Fraction(0))
+
+
+def _gadd(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _gsub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _isum(*terms):
+    """Sum of k * x * y over (k, x, y), with x and y Gaussian integers (re, im)."""
+    re = im = 0
+    for k, x, y in terms:
+        re += k * (x[0] * y[0] - x[1] * y[1])
+        im += k * (x[0] * y[1] + x[1] * y[0])
+    return re, im
+
+
+def ref_add(a, b):
+    return tuple(_gadd(x, y) for x, y in zip(a, b))
+
+
+def ref_sub(a, b):
+    return tuple(_gsub(x, y) for x, y in zip(a, b))
+
+
+def ref_mul(a, b, q):
+    raw = [_GZERO] * 7
+    for i in range(4):
+        if a[i] == _GZERO:
+            continue
+        for j in range(4):
+            if b[j] != _GZERO:
+                raw[i + j] = _gadd(raw[i + j], _gmul(a[i], b[j]))
+    qf = (Fraction(q), Fraction(0))
+    out = list(raw[:4])
+    for k in range(4, 7):
+        if raw[k] != _GZERO:
+            out[k - 4] = _gadd(out[k - 4], _gmul(raw[k], qf))
+    return tuple(out)
+
+
+def ref_inv(coords, q):
+    """Inverse by the norm down K > Q(i)(s) > Q(i), s = t^2, on lcm-scaled coords."""
+    if all(c == _GZERO for c in coords):
+        raise ZeroDivisionError("inversion of zero in K")
+    scale = lcm(*(v.denominator for c in coords for v in c))
+    c0, c1, c2, c3 = [(re.numerator * (scale // re.denominator),
+                       im.numerator * (scale // im.denominator))
+                      for re, im in coords]
+    a = _isum((1, c0, c0), (q, c2, c2), (-2 * q, c1, c3))
+    b = _isum((2, c0, c2), (-1, c1, c1), (-q, c3, c3))
+    n = _isum((1, a, a), (-q, b, b))
+    if n == (0, 0):
+        raise ArithmeticError(
+            "zero norm of a nonzero element: t^4 - q not irreducible over Q(i)")
+    den = n[0] * n[0] + n[1] * n[1]
+    n_bar = (n[0], -n[1])
+    out = []
+    for num in (_isum((1, c0, a), (-q, c2, b)), _isum((q, c3, b), (-1, c1, a)),
+                _isum((1, c2, a), (-1, c0, b)), _isum((1, c1, b), (-1, c3, a))):
+        re, im = _isum((scale, num, n_bar))
+        out.append((Fraction(re, den), Fraction(im, den)))
+    return tuple(out)
+
+
+def ref_pow(coords, n, q):
+    """coords ** n by n repeated products (of the inverse when n < 0)."""
+    base = ref_inv(coords, q) if n < 0 else coords
+    out = ((Fraction(1), Fraction(0)), _GZERO, _GZERO, _GZERO)
+    for _ in range(abs(n)):
+        out = ref_mul(out, base, q)
+    return out
+
+
+def ref_scalar(s):
+    return ((Fraction(s), Fraction(0)), _GZERO, _GZERO, _GZERO)
+
+
+_SCALARS = st.one_of(st.integers(-_BIG, _BIG), _RATIONALS)
+
+
+@given(same_q(2), _SCALARS, st.integers(-3, 4))
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_matches_fraction_reference(xy, s, n):
+    x, y = xy
+    q = x.q
+    a, b, c = x.coords, y.coords, ref_scalar(s)
+    assert (x + y).coords == ref_add(a, b)
+    assert (x - y).coords == ref_sub(a, b)
+    assert (x * y).coords == ref_mul(a, b, q)
+    assert (x + s).coords == (s + x).coords == ref_add(a, c)
+    assert (x - s).coords == ref_sub(a, c)
+    assert (s - x).coords == ref_sub(c, a)
+    assert (x * s).coords == (s * x).coords == ref_mul(a, c, q)
+    if s != 0:
+        assert (x / s).coords == ref_mul(a, ref_inv(c, q), q)
+    if not x.is_zero:
+        assert x.inv().coords == ref_inv(a, q)
+        assert (s / x).coords == ref_mul(c, ref_inv(a, q), q)
+        assert (y / x).coords == ref_mul(b, ref_inv(a, q), q)
+    if n >= 0 or not x.is_zero:
+        assert (x ** n).coords == ref_pow(a, n, q)
+
+
+def _canonical(x):
+    return x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@given(same_q(3), _SCALARS, st.integers(-2, 3))
+@settings(max_examples=200, deadline=None)
+def test_results_are_canonical(xyz, s, n):
+    x, y, z = xyz
+    q = x.q
+    results = [x, x + y, x - y, x * y, -x, x.conj_i(), x + s, s - x, x * s]
+    if s != 0:
+        results.append(x / s)
+    if not x.is_zero:
+        results += [x.inv(), y / x, s / x]
+    if n >= 0 or not x.is_zero:
+        results.append(x ** n)
+    assert all(_canonical(v) for v in results)
+    # one value reached by different routes: equal numerators, equal hashes
+    pairs = [((x * y) * z, x * (y * z)), (x - x, KNum.zero(q)),
+             (x + y - y, x), (KNum(x.coords, q), x)]
+    if not x.is_zero:
+        pairs.append((x * x.inv(), KNum.one(q)))
+    for u, v in pairs:
+        assert u == v and hash(u) == hash(v)
+        assert (u.num, u.den) == (v.num, v.den)
+
+
+def test_mixed_moduli_and_zero_rejected():
+    five, thirteen = KNum.root4(5), KNum.root4(13)
+    for op in (lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(ValueError):
+            op(five, thirteen)
+    zero = KNum.zero(5)
+    assert _canonical(zero) and zero.den == 1
+    for divide in (zero.inv, lambda: five / zero, lambda: 1 / zero,
+                   lambda: five / 0, lambda: five / Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            divide()
