@@ -19,17 +19,19 @@ from .ffpoly import BudgetExceededError, _require_modulus, build_sieve
 VERIFY_NOTE = "normalization: unit auxiliary series assumed for r = 4"
 
 
-def check_moment_input(args) -> None:
-    """The input checks moments and verify share: q, r and the degree range."""
+def check_moment_input(args, method: str = "reflect") -> None:
+    """The input checks moments and verify share: q, r, degrees, budget."""
     _require_modulus(args.q)
     if args.r < 1:
         raise ValueError("need r >= 1")
     if not 1 <= args.dmin <= args.dmax:
         raise ValueError("need 1 <= dmin <= dmax")
+    for D in range(args.dmin, args.dmax + 1):
+        moments.check_budget(args.q, D, method)
 
 
 def cmd_moments(args) -> int:
-    check_moment_input(args)
+    check_moment_input(args, args.method)
     workers = args.workers or moments.default_workers()
     if args.format == "csv":
         print("q,r,D,moment_a,moment_b,moment_float,count,seconds")

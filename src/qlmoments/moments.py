@@ -8,11 +8,13 @@ The production route ("reflect") handles every d of a degree at once, in
 numpy blocks of at most BLOCK indices: a boolean mask marks the
 squarefree indices (every multiple P^2 k of an irreducible square is
 cleared); for each monic irreducible P up to half the degree, d mod P is
-an affine map on the coefficient digits and a lookup table gives (d/P);
-composite m are filled from the factor sieve, and a_n is a row sum.
-Exact big-integer powers are then taken only once per distinct low half
-(a_0, ..., a_h), completed by the functional equation and weighted by its
-multiplicity.
+an affine map on the coefficient digits and a table of the squares mod P
+gives (d/P).  By the explicit formula (Rosen, GTM 210) these prime
+characters give the power sums s_n = sum_{e | n} e sum_{deg P = e}
+(d/P)^(n/e), and Newton's identities n a_n = sum_{k <= n} s_k a_(n-k) the
+low half (a_0, ..., a_h).  Exact big-integer powers are then taken only
+once per distinct low half, completed by the functional equation and
+weighted by its multiplicity.
 
 Two per-d reference routes cross-check it: "sieve" (full-degree
 character sums per d) and "naive" (per-(d, m) symbol calls).  They are
@@ -39,6 +41,7 @@ from .lfunc import _half_degree
 
 __all__ = [
     "MomentResult",
+    "check_budget",
     "moment",
     "generating_series",
     "low_half_histogram",
@@ -87,12 +90,21 @@ def squarefree_count(q: int, D: int) -> int:
 def _estimated_ops(q: int, D: int, method: str) -> int:
     """Symbol evaluations: one per (d, m) pair the route touches.
 
-    The table route fills one character entry per d and monic m of degree
-    <= h (half degree); the reference routes sum over all m below D.
+    The table route reads one character per d and monic irreducible m of
+    degree <= h (half degree); the reference routes sum over all m below D.
     """
     if method == "reflect":
-        return q**D * sum(q**n for n in range(_half_degree(D) + 1))
+        return q**D * sum(ffpoly.irreducible_count(q, n)
+                          for n in range(1, _half_degree(D) + 1))
     return q ** (2 * D - 1)
+
+
+def check_budget(q: int, D: int, method: str = "reflect",
+                 op_budget: int = DEFAULT_OP_BUDGET) -> None:
+    """Raise BudgetExceededError if degree D would exceed op_budget."""
+    if (ops := _estimated_ops(q, D, method)) > op_budget:
+        raise BudgetExceededError(
+            f"D = {D}: estimated {ops} ops exceeds budget {op_budget}")
 
 
 def _scaled_power(a_list: list[int], q: int, r: int) -> tuple[int, int]:
@@ -157,68 +169,47 @@ def _squarefree_mask(q: int, D: int, sieve: ffpoly.FactorSieve) -> np.ndarray:
 
 
 class _DegreePlan:
-    """Character data for every monic m of one degree n, shared by all d.
+    """The characters (d/P_j) at the monic irreducibles P_j of degree n.
 
-    d mod P is affine in the digits of d.  Each block of d shares its
-    digits above x^k, so for every monic irreducible P_j of degree n,
+    d mod P_j is affine in the digits of d, through ``powers[i, j] = x^i mod
+    P_j``.  Each block of d shares its digits above x^k, so
     ``low_residue[lo, j]`` is the index of (d below x^k) mod P_j, and the
-    rest of d shifts the lookup table ``table[j, index of d mod P_j] =
-    (d/P_j)`` once per block.  Composite m are grouped by the degree e of their
-    smallest factor P: ``(e, m columns, P columns at degree e, cofactor
-    columns at n - e)``.
+    rest of d shifts the lookup table once per block.  ``table[j, t]`` is 0
+    at residue t = 0, +1 on a nonzero square of F_q[x]/P_j and -1 otherwise:
+    every residue is squared at once and reduced (degree 2n - 2 < D)
+    through the same rows.
     """
 
     def __init__(self, q: int, D: int, n: int, k: int,
-                 sieve: ffpoly.FactorSieve):
-        primes = sieve.irreducibles(n)
+                 primes: list[tuple[int, ...]]):
         self.q = q
-        self.n = n
-        self.width = q**n
         self.place = q ** np.arange(n, dtype=np.int64)
         self.residues = _digits(np.arange(q**n), q, n)  # by residue index
         powers = np.zeros((D + 1, len(primes), n), dtype=np.int64)  # x^i mod P_j
-        self.table = np.empty((len(primes), q**n), dtype=np.int8)
         for j, p in enumerate(primes):
             for i in range(D + 1):
                 rem = ffpoly._mod((0,) * i + (1,), p, q)
                 powers[i, j, :len(rem)] = rem
-            for t in range(q**n):
-                res = ffpoly._trim(self.residues[t].tolist())
-                self.table[j, t] = ffpoly.symbol_raw(res, p, q)
+        squares = np.zeros((q**n, 2 * n - 1), dtype=np.int64)
+        for i in range(n):
+            squares[:, i:i + n] += self.residues[:, i:i + 1] * self.residues
+        self.table = np.full((len(primes), q**n), -1, dtype=np.int8)
+        for j in range(len(primes)):
+            self.table[j, squares @ powers[:2 * n - 1, j] % q @ self.place] = 1
+        self.table[:, 0] = 0
         self.prime_idx = np.arange(len(primes))
         self.low_residue = np.tensordot(_digits(np.arange(q**k), q, k),
                                         powers[:k], axes=1) % q @ self.place
         self.high = powers[k:D]
         self.offset = powers[D]
-        pointers = sieve.factor_pointers(n)
-        self.irr_cols = np.array([i for i, ent in enumerate(pointers)
-                                  if ent is None], dtype=np.int64)
-        groups: dict[int, tuple[list, list, list]] = {}
-        for i, ent in enumerate(pointers):
-            if ent is not None:
-                e, p_idx, _f, k_idx = ent
-                cols, p_cols, k_cols = groups.setdefault(e, ([], [], []))
-                cols.append(i)
-                p_cols.append(sieve.irreducible[e][p_idx])
-                k_cols.append(k_idx)
-        self.composites = [(e, *(np.array(c, dtype=np.int64) for c in g))
-                           for e, g in sorted(groups.items())]
 
-    def row(self, lo: np.ndarray, high_digits: np.ndarray,
-            lower: list[np.ndarray]) -> np.ndarray:
-        """(d/m) with one row per d of the block and one column per monic m.
-
-        lo holds the block's index offsets, high_digits its digits from x^k
-        up, and lower[e] the rows already built for degree e < n.
-        """
+    def characters(self, lo: np.ndarray, high_digits: np.ndarray) -> np.ndarray:
+        """(d/P_j), one row per d of the block and one column per P_j; lo
+        holds the block's index offsets, high_digits its digits from x^k up."""
         shift = np.tensordot(high_digits, self.high, axes=1) + self.offset
         shifted = (self.residues + shift[:, None, :]) % self.q @ self.place
         table = self.table[self.prime_idx[:, None], shifted]
-        out = np.empty((len(lo), self.width), dtype=np.int8)
-        out[:, self.irr_cols] = table[self.prime_idx, self.low_residue[lo]]
-        for e, cols, p_cols, k_cols in self.composites:
-            out[:, cols] = lower[e][:, p_cols] * lower[self.n - e][:, k_cols]
-        return out
+        return table[self.prime_idx, self.low_residue[lo]]
 
 
 def low_half_histogram(q: int, D: int) -> dict[tuple[int, ...], int]:
@@ -237,7 +228,8 @@ def low_half_histogram(q: int, D: int) -> dict[tuple[int, ...], int]:
     sieve = ffpoly.build_sieve(q, max(1, D // 2))
     mask = _squarefree_mask(q, D, sieve)
     assert int(mask.sum()) == squarefree_count(q, D)
-    plans = [_DegreePlan(q, D, n, k, sieve) for n in range(1, h + 1)]
+    plans = [_DegreePlan(q, D, n, k, sieve.irreducibles(n))
+             for n in range(1, h + 1)]
     # |a_n| <= q^n, so halves @ weights is injective (a mixed-radix code
     # with digits a_n + q^n in [0, 2 q^n]); equal codes are counted at once
     radix = [2 * q**n + 1 for n in range(h + 1)]
@@ -246,11 +238,19 @@ def low_half_histogram(q: int, D: int) -> dict[tuple[int, ...], int]:
     hist: dict[tuple[int, ...], int] = {}
     for hi, high_digits in enumerate(_digits(np.arange(q ** (D - k)), q, D - k)):
         lo = np.flatnonzero(mask[hi * q**k:(hi + 1) * q**k])
-        rows = [np.ones((len(lo), 1), dtype=np.int8)]
+        chars = [plan.characters(lo, high_digits) for plan in plans]
+        # the sum of (d/P)^j over deg P = e is odd[e] at odd j and even[e],
+        # the number of P not dividing d, at even j (so only for 2e <= h)
+        odd = [None] + [c.sum(axis=1, dtype=np.int64) for c in chars]
+        even = [None] + [np.count_nonzero(c, axis=1) for c in chars[:h // 2]]
         halves = np.ones((len(lo), h + 1), dtype=np.int64)
-        for plan in plans:
-            rows.append(plan.row(lo, high_digits, rows))
-            halves[:, plan.n] = rows[-1].sum(axis=1, dtype=np.int64)
+        s = [None]  # s[n] = sum_{e | n} e sum_{deg P = e} (d/P)^(n/e)
+        for n in range(1, h + 1):
+            s.append(sum(e * (odd if n // e % 2 else even)[e]
+                         for e in range(1, n + 1) if n % e == 0))
+            total = sum(s[j] * halves[:, n - j] for j in range(1, n + 1))
+            assert not (total % n).any(), "Newton's identity division not exact"
+            halves[:, n] = total // n
         _, first, counts = np.unique(halves @ weights, return_index=True,
                                      return_counts=True)
         for key, c in zip(halves[first].tolist(), counts.tolist()):
@@ -282,10 +282,7 @@ def moment(q: int, r: int, D: int, workers: int = 1, method: str = "reflect",
         raise ValueError("need D >= 1 and r >= 1")
     if method not in ("reflect", "sieve", "naive"):
         raise ValueError(f"unknown method {method!r}")
-    if _estimated_ops(q, D, method) > op_budget:
-        raise BudgetExceededError(
-            f"estimated {_estimated_ops(q, D, method)} ops exceeds budget {op_budget}"
-        )
+    check_budget(q, D, method, op_budget)
     start = time.perf_counter()
     if method == "reflect":
         su, sv, count = _table_moment(q, r, D)

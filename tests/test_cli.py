@@ -14,10 +14,10 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=600):
     proc = subprocess.run(
         [sys.executable, "-m", "qlmoments.cli", *args],
-        capture_output=True, text=True, timeout=600, env=ENV,
+        capture_output=True, text=True, timeout=timeout, env=ENV,
     )
     return proc
 
@@ -39,6 +39,31 @@ def test_moments_json():
                 "--format", "json")
     row = json.loads(p.stdout.strip())
     assert row["moment_a"] == "5" and row["count"] == 5
+
+
+# stdout of `moments --q 5 --r 4 --dmin 6 --dmax 9` and `--q 13 --r 4 --dmin 5
+# --dmax 5`, pinned byte for byte at degrees whose low half reaches a_2 to a_4
+# (the benchmark references stop at D = 5 and D = 4)
+MOMENTS_GOLDEN = {
+    ("5", "6", "9"): (
+        'q,r,D,moment_a,moment_b,moment_float,count,seconds\n'
+        '5,4,6,16076918144/3125,-5641173888/3125,1108118.3544112681,12500,0.000\n'
+        '5,4,7,462468792632/3125,0,147990013.64224,62500,0.000\n'
+        '5,4,8,54463756737344/78125,-3391616922432/15625,211767382.73742193,312500,0.000\n'
+        '5,4,9,1210050019602152/78125,0,15488640250.907545,1562500,0.000\n'
+    ),
+    ("13", "5", "5"): (
+        'q,r,D,moment_a,moment_b,moment_float,count,seconds\n'
+        '13,4,5,385934127216/2197,0,175664145.29631317,342732,0.000\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("q, dmin, dmax", sorted(MOMENTS_GOLDEN))
+def test_moments_golden_stdout(q, dmin, dmax):
+    p = run_cli("moments", "--q", q, "--r", "4", "--dmin", dmin, "--dmax", dmax)
+    assert p.returncode == 0
+    assert p.stdout == MOMENTS_GOLDEN[q, dmin, dmax]
 
 
 def test_roots_jsonl():
@@ -207,6 +232,25 @@ def test_moments_rejects_composite_modulus():
 ])
 def test_moments_rejects_bad_range_before_printing(args):
     assert_one_line_error(run_cli("moments", *args))
+
+
+@pytest.mark.parametrize("args", [
+    ("--dmin", "12", "--dmax", "12"),
+    ("--dmax", "12"),
+    ("--dmin", "11", "--dmax", "11", "--method", "sieve"),
+])
+def test_moments_over_budget_fails_before_any_work(args):
+    # at q = 5 the table route's budget holds to D = 11; no degree of the
+    # range is computed, and not even the header is printed
+    p = run_cli("moments", *args, timeout=30)
+    assert_one_line_error(p)
+    assert "budget" in p.stderr
+
+
+def test_verify_over_budget_fails_before_the_prediction():
+    p = run_cli("verify", "--dmin", "12", "--dmax", "12", "--N", "2", timeout=30)
+    assert_one_line_error(p)
+    assert "budget" in p.stderr
 
 
 def test_predict_rejects_composite_modulus():

@@ -75,9 +75,22 @@ class TestOracleRoutes:
                 moments.low_half_histogram(q, 3)
 
     def test_table_route_budget_counts_low_half_entries(self):
-        # q^D d times the monic m of degree <= h = 3
-        assert moments._estimated_ops(5, 7, "reflect") == 5**7 * 156
+        # q^D d times the monic irreducibles of degree <= h = 3: 5 + 10 + 40
+        assert moments._estimated_ops(5, 7, "reflect") == 5**7 * 55
         assert moments._estimated_ops(5, 7, "sieve") == 5**13
+        # h = 5 at D = 12: 5 + 10 + 40 + 150 + 624 irreducibles
+        assert moments._estimated_ops(5, 12, "reflect") == 5**12 * 829
+
+    @pytest.mark.parametrize("q, d_max", [(5, 11), (13, 7), (17, 6)])
+    def test_default_budget_boundary(self, q, d_max):
+        budget = moments.DEFAULT_OP_BUDGET
+        assert moments._estimated_ops(q, d_max, "reflect") <= budget
+        assert moments._estimated_ops(q, d_max + 1, "reflect") > budget
+        moments.check_budget(q, d_max)
+        with pytest.raises(BudgetExceededError):
+            moments.check_budget(q, d_max + 1)
+        with pytest.raises(BudgetExceededError):
+            moments.moment(q, 1, d_max + 1)
 
 
 class TestTableRoute:
@@ -97,15 +110,30 @@ class TestTableRoute:
             ref = moments.moment(13, r, D, method="sieve")
             assert (fast.a, fast.b, fast.count) == (ref.a, ref.b, ref.count)
 
+    @pytest.mark.parametrize("q, n_max", [(5, 3), (13, 2)])
+    def test_square_table_is_euler_criterion(self, q, n_max):
+        # the table marks squares of F_q[x]/P; Euler's criterion
+        # d^((|P| - 1) / 2) mod P is independent of that construction
+        sieve = ffpoly.build_sieve(q, n_max)
+        for n in range(1, n_max + 1):
+            primes = sieve.irreducibles(n)
+            plan = moments._DegreePlan(q, 2 * n, n, 1, primes)
+            for j, p in enumerate(primes):
+                for t, digits in enumerate(plan.residues.tolist()):
+                    res = ffpoly._trim(digits)
+                    assert plan.table[j, t] == ffpoly.symbol_euler(res, p, q)
+
     def test_histogram_sizes(self):
-        assert len(histogram(13, 4)) == 15
-        assert len(histogram(5, 5)) == 81
-        assert len(histogram(5, 7)) == 1283
-        for q, D in ((13, 4), (5, 5), (5, 7)):
+        sizes = {(13, 4): 15, (13, 5): 364, (5, 5): 81, (5, 7): 1283,
+                 (5, 8): 1633}
+        for (q, D), size in sizes.items():
+            assert len(histogram(q, D)) == size
             assert sum(histogram(q, D).values()) == moments.squarefree_count(q, D)
 
-    @pytest.mark.parametrize("D", [6, 7])
+    @pytest.mark.parametrize("D", [6, 7, 8, 9])
     def test_sampled_d_match_histogram(self, D, sieve5):
+        # D = 9 has h = 4, where the prime squares of degree 2 and the
+        # fourth powers of linear primes enter s_4
         q = 5
         hist = histogram(q, D)
         h = moments._half_degree(D)
@@ -115,13 +143,15 @@ class TestTableRoute:
             coeffs = ffpoly.monic_from_index(q, D, rng.randrange(q**D))
             if not ffpoly._is_squarefree(coeffs, q):
                 continue
-            full = lfunc.l_coefficients(FqPoly(coeffs, q), sieve5)
-            low = tuple(full[:h + 1])
+            d = FqPoly(coeffs, q)
+            low = tuple(lfunc.character_row_sums(d, h, sieve5))
             assert low in hist
-            assert lfunc._reflect_coefficients(list(low), D, q) == full
+            if D - 1 <= sieve5.max_deg:  # the full list needs degree D - 1
+                full = lfunc.l_coefficients(d, sieve5)
+                assert lfunc._reflect_coefficients(list(low), D, q) == full
             checked += 1
 
-    @pytest.mark.parametrize("D", range(1, 8))
+    @pytest.mark.parametrize("D", range(1, 9))
     def test_weil_bound(self, D):
         # RH for curves: |a_n| <= C(D-1, n) q^(n/2), checked in integers
         q = 5
