@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BudgetExceededError) as exc:
+    except (ValueError, BudgetExceededError, cocycle.SingularPointError) as exc:
         print(f"qlm: error: {exc}", file=sys.stderr)
         return 2
 

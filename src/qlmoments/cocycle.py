@@ -36,8 +36,6 @@ __all__ = [
     "b_matrix",
     "b_inverse_matrix",
     "mbar_matrix",
-    "gamma_sandwich",
-    "gamma_factor",
     "gamma_factor_exact",
     "gamma_table_entry",
     "gamma_table_polynomial",
@@ -105,10 +103,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
               for j in range(3))
         for i in range(3)
     )
-
-
-def mat_vec(a: Matrix, v: tuple) -> tuple:
-    return tuple(a[i][0] * v[0] + a[i][1] * v[1] + a[i][2] * v[2] for i in range(3))
 
 
 def mat_inv3(a: Matrix) -> Matrix:
@@ -196,19 +190,6 @@ def mbar_matrix(word: tuple[int, ...], z: tuple, q, sqrt_q, half) -> Matrix:
 # the scalar residue factor on the archimedean side
 
 
-def gamma_sandwich(matrix: Matrix, a2_sign: int, a_sign: int, half):
-    """Row (1, sgn(a2), 0) . M . column (1/2, sgn(a)/2, 1/2)."""
-    row = mat_vec(matrix, (half, a_sign * half, half))
-    return row[0] + a2_sign * row[1]
-
-
-def gamma_factor(word: tuple[int, ...], matrix: Matrix, a2_sign: int,
-                 a_sign: int, half):
-    """Scalar residue factor for a reduced word and its evaluated cocycle."""
-    val = gamma_sandwich(matrix, a2_sign, a_sign, half)
-    return (2 ** len(word)) * val
-
-
 def gamma_factor_exact(word: tuple[int, ...], alpha: Root, a2_sign: int,
                        a_sign: int, zeta: KNum, q: int,
                        xi: tuple[KNum, ...] | None = None) -> KNum:
@@ -218,6 +199,8 @@ def gamma_factor_exact(word: tuple[int, ...], alpha: Root, a2_sign: int,
     is z_i = sqrt(q) xi_i^n for i <= r (xi defaults to all ones) and the
     last coordinate is pinned by the root constraint:
     z_{r+1} = zeta^{-1} q^{(n-1)/(2n)} prod xi_i^{-k_i}, n = level(alpha).
+    The factor is 2^len(word) times the sandwich
+    row (1, sgn(a2), 0) . M_w . column (1/2, sgn(a)/2, 1/2).
     """
     n = alpha.level
     if n not in (1, 2):
@@ -238,7 +221,11 @@ def gamma_factor_exact(word: tuple[int, ...], alpha: Root, a2_sign: int,
     z.append(tail)
     qk = KNum.rational(q, q)
     matrix = cocycle_matrix(word, tuple(z), one / qk, one / sq, half)
-    return gamma_factor(word, matrix, a2_sign, a_sign, half)
+    col = (half, a_sign * half, half)
+    # the third row of M_w . col is never read
+    row0, row1 = (m[0] * col[0] + m[1] * col[1] + m[2] * col[2]
+                  for m in matrix[:2])
+    return (2 ** len(word)) * (row0 + a2_sign * row1)
 
 
 def gamma_table_entry(zeta_power: int, q: int) -> KNum:

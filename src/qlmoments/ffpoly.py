@@ -198,29 +198,6 @@ def symbol_raw(d: tuple[int, ...], m: tuple[int, ...], q: int) -> int:
         d, m = m, d
 
 
-def symbol_euler(d: tuple[int, ...], p: tuple[int, ...], q: int) -> int:
-    """(d/p) for irreducible monic p via d^((|p|-1)/2) mod p.
-
-    Kept as an independent oracle for the reciprocity chain.
-    """
-    d = _mod(d, p, q)
-    if not d:
-        return 0
-    e = (q ** (len(p) - 1) - 1) // 2
-    acc: tuple[int, ...] = (1,)
-    base = d
-    while e:
-        if e & 1:
-            acc = _mod(_mul(acc, base, q), p, q)
-        base = _mod(_mul(base, base, q), p, q)
-        e >>= 1
-    if acc == (1,):
-        return 1
-    if acc == ((q - 1),):
-        return -1
-    raise ArithmeticError("euler criterion did not yield +-1; p not irreducible?")
-
-
 # ---------------------------------------------------------------------------
 # monic indexing
 

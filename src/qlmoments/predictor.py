@@ -39,11 +39,7 @@ from .ffpoly import _require_modulus, irreducible_count
 __all__ = [
     "EulerSpec",
     "QuadSpec",
-    "level_one_local_factor",
     "euler_product_level_one",
-    "big_g",
-    "local_moment_factor",
-    "r_p_3",
     "regularized_local_factor",
     "euler_product_regularized",
     "regularized_tail_estimate",
@@ -57,15 +53,8 @@ __all__ = [
     "moment_prediction",
     "q2_leading_coefficient",
     "regularized_factor_value",
-    "regularized_factor_series",
-    "rank3_local_poly",
-    "rank3_local_poly_x1_coeffs",
     "binomial_determinant",
     "vandermonde_core_integral",
-    "symmetric_pair_sum",
-    "symmetric_pair_integral",
-    "permuted_kernel_sum",
-    "permuted_kernel_integral",
 ]
 
 ZETA_FOURTH = (1 + 0j, -1 + 0j, 1j, -1j)
@@ -174,6 +163,14 @@ def _product(factors):
     return out
 
 
+def _degrees(degrees) -> list[int]:
+    """The distinct degrees in increasing order; each must be >= 1."""
+    out = sorted(set(degrees))
+    if any(d < 1 for d in out):
+        raise ValueError("degrees must be >= 1")
+    return out
+
+
 def _sign(r: int) -> int:
     """The orientation sign (-1)^(r(r+1)/2) of the r-fold residue integrals."""
     return (-1) ** (r * (r + 1) // 2)
@@ -189,25 +186,6 @@ def contour_integral(fn, r: int, rho: float, n: int, center: complex = 1.0) -> c
 
 # ---------------------------------------------------------------------------
 # level-one Euler data
-
-
-def level_one_local_factor(zs, q, e: int):
-    """Local correction factor at an irreducible of degree e (any scalar type)."""
-    r = len(zs)
-    qe = float(q) ** e
-    xe = [z**e for z in zs]
-    pairs = 1
-    for i in range(r):
-        for j in range(i, r):
-            pairs = pairs * (1 - xe[i] * xe[j] / qe)
-    scale = float(q) ** (-0.5 * e)
-    pm = 1
-    pp = 1
-    for x in xe:
-        pm = pm * (1 - scale * x)
-        pp = pp * (1 + scale * x)
-    bump = 1 + (-2 + 1 / pm + 1 / pp) / (2 * (1 + 1 / qe))
-    return pairs * bump
 
 
 def _clog1p(z):
@@ -305,40 +283,8 @@ def level_one_tail_estimate(q: int, r: int, pmax: int,
         lambda e: _level_one_log_factor(probe, q, e), q, pmax, floor=1e-19)
 
 
-def big_g(xis, q, pmax: int):
-    """The corrected pair-pole product times the convergent local product."""
-    r = len(xis)
-    head = 1
-    for i in range(r):
-        for j in range(i, r):
-            head = head / (1 - xis[i] * xis[j])
-    return head * euler_product_level_one(xis, q, pmax)
-
-
-def local_moment_factor(xis, q, e: int):
-    """The raw local factor whose product over irreducibles big_g regularizes."""
-    qe = float(q) ** e
-    scale = float(q) ** (-0.5 * e)
-    pm = 1
-    pp = 1
-    for x in xis:
-        pm = pm * (1 - scale * x**e)
-        pp = pp * (1 + scale * x**e)
-    return (1 - 1 / qe) * (1 / qe + (1 / pm + 1 / pp) / 2)
-
-
 # ---------------------------------------------------------------------------
 # level-two Euler data
-
-
-def r_p_3(z1, z2, z3, q):
-    """Local factor of the modified level-one residue in three variables."""
-    out = 1 / (1 - q * (z1 * z2 * z3) ** 2)
-    zs = (z1, z2, z3)
-    for i in range(3):
-        for j in range(i, 3):
-            out = out / (1 - zs[i] * zs[j])
-    return out
 
 
 def regularized_local_factor(xis, zeta, a_sign: int, q, e: int):
@@ -435,7 +381,9 @@ def secondary_weight_functions(zs, zeta, a_sign: int, q):
 # Q1
 
 
-def _q1_kernel(zs, q, r):
+def _q1_kernel(zs):
+    """The Q1 kernel: pair Vandermonde factors over order-2r poles at z_i = 1."""
+    r = len(zs)
     out = 1
     for i in range(r):
         for j in range(i + 1, r):
@@ -453,7 +401,7 @@ def _q1_slices(q: int, r: int, euler: EulerSpec, quad: QuadSpec):
     """
     sq = q**0.5
     for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
-        kern = _q1_kernel(zs, q, r) * w_rest
+        kern = _q1_kernel(zs) * w_rest
         base = euler_product_level_one(zs, q, euler.pmax) * kern
         extra = base
         for z in zs:
@@ -467,9 +415,7 @@ def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     _require_modulus(q)
     if r < 1:
         raise ValueError("need r >= 1")
-    degrees = sorted(set(degrees))
-    if any(d < 1 for d in degrees):
-        raise ValueError("degrees must be >= 1")
+    degrees = _degrees(degrees)
     acc = {d: 0j for d in degrees}
     for w_i, base, extra, prodz in _q1_slices(q, r, euler, quad):
         for d in degrees:
@@ -495,47 +441,33 @@ def q1_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
     return Coefficient.of(q, r, D, val, tail, delta, note=note)
 
 
-def q1_coefficient_circle(q: int, r: int, D: int,
-                          euler: EulerSpec = EulerSpec(),
-                          quad: QuadSpec = QuadSpec(),
-                          n_xi: int = 32) -> complex:
-    """Q1 via a numeric circle in the generating variable (cross-check route).
-
-    Integrates the level-one principal part over |xi| = q^(-2) instead of
-    extracting the coefficient analytically; much slower, used in tests.
-    """
-    sq = q**0.5
-    xi_nodes, xi_w = _circle(n_xi, q ** (-2.0), center=0.0)
-    out = 0j
-    for w_i, base, extra, prodz in _q1_slices(q, r, euler, quad):
-        for xi, wx in zip(xi_nodes, xi_w):
-            pole = 1 / (1 - q**2 * xi**2 / prodz)
-            piece = ((1 - sq) ** (-r)) * extra * pole + q * xi * base * pole
-            out += wx * xi ** (-D - 1) * w_i * piece.sum()
-    return (1 - 1 / q) * _sign(r) / factorial(r) * out * q ** (-D)
-
-
 # ---------------------------------------------------------------------------
 # Q2
 
 
-def _q2_kernel(zs, r):
+def _q2_kernel(zs, m):
+    """The mixed Vandermonde kernel with the variables split after the m-th.
+
+    Pairs across the split enter to the first power, pairs inside either
+    block squared; Q2 splits at m = 3.
+    """
+    r = len(zs)
     num = 1
     for i in range(r):
         for j in range(i + 1, r):
-            e_ij = 1 if (i < 3 <= j) else 2
+            e_ij = 1 if (i < m <= j) else 2
             num = num * (zs[i] - zs[j]) ** e_ij * (1 - zs[i] * zs[j])
-    for k in range(3):
-        for l in range(k, 3):
+    for k in range(m):
+        for l in range(k, m):
             num = num * (1 - zs[k] * zs[l])
     den = 1
     for z in zs:
         den = den * (1 - z) ** (2 * r) * z**r
-    for k in range(3):
-        for l in range(3, r):
+    for k in range(m):
+        for l in range(m, r):
             den = den * (1 + zs[k] * zs[l])
             den = den * (1 / zs[k] + zs[l] / zs[k] ** 2)
-    for k in range(3, r):
+    for k in range(m, r):
         for l in range(k, r):
             den = den * (1 + zs[k] * zs[l])
     return num / den
@@ -559,15 +491,13 @@ def q2_term_profile(q: int, r: int, degrees, zeta: complex,
     _require_modulus(q)
     if r < 4:
         raise ValueError("the level-two coefficient needs r >= 4")
-    degrees = sorted(set(degrees))
-    if any(d < 1 for d in degrees):
-        raise ValueError("degrees must be >= 1")
+    degrees = _degrees(degrees)
     a_sign = 1 if (zeta**2).real > 0 else -1
     acc = {d: [0j, 0j] for d in degrees}
     for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
         g1, g2 = secondary_weight_functions(zs, zeta, a_sign, q)
         sreg = euler_product_regularized(zs, zeta, a_sign, q, euler.pmax)
-        kern = _q2_kernel(zs, r) * w_rest * sreg
+        kern = _q2_kernel(zs, 3) * w_rest * sreg
         core1 = g1 * kern
         core2 = g2 * kern
         tailprod = _product(zs[3:])
@@ -593,7 +523,7 @@ def q2_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     return {
         D: {zeta: norm * ((1 - q**0.5) ** (-r) * prof[D][0] + prof[D][1])
             for zeta, prof in profiles.items()}
-        for D in sorted(set(degrees))
+        for D in _degrees(degrees)
     }
 
 
@@ -677,80 +607,14 @@ def q2_leading_coefficient(q: int, r: int, euler: EulerSpec = EulerSpec()
 
 
 # ---------------------------------------------------------------------------
-# closed-form series and constants
-
-
-class _Series:
-    """Truncated power series with Fraction coefficients."""
-
-    __slots__ = ("c", "n")
-
-    def __init__(self, coeffs, n: int):
-        c = [Fraction(v) for v in coeffs[:n]]
-        c += [Fraction(0)] * (n - len(c))
-        self.c = c
-        self.n = n
-
-    @classmethod
-    def var(cls, n: int) -> "_Series":
-        return cls([0, 1], n)
-
-    def __add__(self, other):
-        o = other if isinstance(other, _Series) else _Series([other], self.n)
-        return _Series([a + b for a, b in zip(self.c, o.c)], self.n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Series([-a for a in self.c], self.n)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, _Series) else _Series([-Fraction(other)], self.n))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, _Series):
-            return _Series([a * Fraction(other) for a in self.c], self.n)
-        out = [Fraction(0)] * self.n
-        for i, a in enumerate(self.c):
-            if a:
-                for j in range(self.n - i):
-                    b = other.c[j]
-                    if b:
-                        out[i + j] += a * b
-        return _Series(out, self.n)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "_Series":
-        if self.c[0] == 0:
-            raise ZeroDivisionError("series has no inverse")
-        inv0 = 1 / self.c[0]
-        out = [inv0] + [Fraction(0)] * (self.n - 1)
-        for k in range(1, self.n):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                s += self.c[j] * out[k - j]
-            out[k] = -inv0 * s
-        return _Series(out, self.n)
-
-    def __pow__(self, m: int) -> "_Series":
-        if m < 0:
-            return self.inverse() ** (-m)
-        out = _Series([1], self.n)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
+# closed-form constants
 
 
 def _regularized_factor(r: int, t):
-    """The central regularized local polynomial at t, a float or a _Series."""
+    """The central regularized local polynomial at t.
+
+    Only ring operations, integer powers and Fraction(1, 2) act on t.
+    """
     bracket = (t + t**2) * (t + 6 * t**2 + t**3) \
         + Fraction(1, 2) * (1 + t) ** (4 - r) \
         + Fraction(1, 2) * (1 - t) ** (-r) * (1 + 10 * t + 20 * t**2 + 10 * t**3 + t**4)
@@ -758,38 +622,9 @@ def _regularized_factor(r: int, t):
         * (1 + t) ** ((r * r + 7 * r - 28) // 2) * bracket
 
 
-def regularized_factor_series(r: int, n_terms: int = 8) -> list[Fraction]:
-    """Exact expansion of the central regularized local polynomial in t."""
-    if r < 3:
-        raise ValueError("needs r >= 3")
-    return _regularized_factor(r, _Series.var(n_terms)).c
-
-
 def regularized_factor_value(r: int, t: float) -> float:
     """Numeric evaluation of the same closed product, for |t| < 1."""
     return _regularized_factor(r, t)
-
-
-def rank3_local_poly(x, y):
-    """The two-variable local polynomial of the rank-three specialization.
-
-    y may be a scalar or a truncated series; x must be an invertible scalar.
-    """
-    xi = x**-1
-    s = x + xi
-    bracket = (
-        1 + s * y + s**2 * y**2 - 4 * s * y**3 - 5 * s**2 * y**4
-        + (s * (3 * x + xi) * (x + 3 * xi)) * y**5
-        - (s * (7 + 3 * x**2 + 3 * xi**2)) * y**7
-        + (8 + 5 * x**2 + 5 * xi**2) * y**8
-        - s * y**9 - y**10
-    )
-    return (1 - y**2) * (1 - x * y) * (1 - xi * y) * bracket
-
-
-def rank3_local_poly_x1_coeffs(n_terms: int = 14) -> list[Fraction]:
-    y = _Series.var(n_terms)
-    return rank3_local_poly(Fraction(1), y).c
 
 
 def binomial_determinant(r: int) -> int:
@@ -834,93 +669,3 @@ def vandermonde_core_integral(n: int = 64, rho: float = 0.1) -> complex:
         return out / (x1**5 * x2**5 * x3**5)
 
     return contour_integral(fn, 3, rho, n, center=0.0)
-
-
-# ---------------------------------------------------------------------------
-# residue-sum vs contour-integral identities (test oracles)
-
-
-def symmetric_pair_sum(h, a: list[complex]) -> complex:
-    """Sum over sign flips of h(a^delta) against the pair-pole kernel."""
-    r = len(a)
-    total = 0
-    for delta in itertools.product((1, -1), repeat=r):
-        vals = [av**dv for av, dv in zip(a, delta)]
-        den = 1
-        for i in range(r):
-            for j in range(i, r):
-                den *= 1 - vals[i] * vals[j]
-        total += h(vals) / den
-    return total
-
-
-def symmetric_pair_integral(h, a: list[complex], rho: float, n: int) -> complex:
-    r = len(a)
-
-    def fn(zs):
-        out = h(zs)
-        for i in range(r):
-            for j in range(i + 1, r):
-                out = out * (zs[j] - zs[i]) ** 2 * (1 - zs[i] * zs[j])
-        for z in zs:
-            prod = z ** (-r)
-            for av in a:
-                prod = prod / ((1 - z * av) * (1 - z / av))
-            out = out * prod
-        return out
-
-    return _sign(r) / factorial(r) * contour_integral(fn, r, rho, n)
-
-
-def permuted_kernel_sum(h, a: list[complex], m: int) -> complex:
-    """Sum over permutations and sign flips of the split-kernel summand."""
-    r = len(a)
-
-    def k_m(vals):
-        den = 1
-        for k in range(m):
-            for l in range(m, r):
-                den *= (1 - vals[k] ** 2 * vals[l] ** 2)
-                den *= (1 - vals[l] ** 2 / vals[k] ** 2)
-        for k in range(m, r):
-            for l in range(k, r):
-                den *= 1 - vals[k] ** 2 * vals[l] ** 2
-        return h(vals) / den
-
-    total = 0
-    for sigma in itertools.permutations(range(r)):
-        for delta in itertools.product((1, -1), repeat=r):
-            vals = [a[sigma[i]] ** delta[sigma[i]] for i in range(r)]
-            total += k_m(vals)
-    return total
-
-
-def permuted_kernel_integral(h, a: list[complex], m: int, rho: float,
-                             n: int) -> complex:
-    r = len(a)
-
-    def fn(zs):
-        num = h(zs)
-        for i in range(r):
-            for j in range(i + 1, r):
-                e_ij = 1 if (i < m <= j) else 2
-                num = num * (zs[i] - zs[j]) ** e_ij * (1 - zs[i] * zs[j])
-        for k in range(m):
-            for l in range(k, m):
-                num = num * (1 - zs[k] * zs[l])
-        den = 1
-        for i in range(r):
-            prod = zs[i] ** r
-            for av in a:
-                prod = prod * (1 - zs[i] * av) * (1 - zs[i] / av)
-            den = den * prod
-        for k in range(m):
-            for l in range(m, r):
-                den = den * (1 + zs[k] * zs[l])
-                den = den * (1 / zs[k] + zs[l] / zs[k] ** 2)
-        for k in range(m, r):
-            for l in range(k, r):
-                den = den * (1 + zs[k] * zs[l])
-        return num / den
-
-    return _sign(r) * contour_integral(fn, r, rho, n)

@@ -1,0 +1,302 @@
+"""Independent reference routes that the tests compare qlmoments against.
+
+Nothing in qlmoments imports this module.  The residue-lemma sums are
+computed exactly; their contour sides integrate the production kernels
+predictor._q1_kernel and predictor._q2_kernel, so the lemma tests check
+the integrands the predictions use.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import factorial
+
+from qlmoments import predictor as pr
+from qlmoments.ffpoly import _mod, _mul
+
+# ---------------------------------------------------------------------------
+# level-one Euler data
+
+
+def level_one_local_factor(zs, q, e: int):
+    """Local correction factor at an irreducible of degree e (any scalar type)."""
+    r = len(zs)
+    qe = float(q) ** e
+    xe = [z**e for z in zs]
+    pairs = 1
+    for i in range(r):
+        for j in range(i, r):
+            pairs = pairs * (1 - xe[i] * xe[j] / qe)
+    scale = float(q) ** (-0.5 * e)
+    pm = 1
+    pp = 1
+    for x in xe:
+        pm = pm * (1 - scale * x)
+        pp = pp * (1 + scale * x)
+    bump = 1 + (-2 + 1 / pm + 1 / pp) / (2 * (1 + 1 / qe))
+    return pairs * bump
+
+
+def big_g(xis, q, pmax: int):
+    """The corrected pair-pole product times the convergent local product."""
+    r = len(xis)
+    head = 1
+    for i in range(r):
+        for j in range(i, r):
+            head = head / (1 - xis[i] * xis[j])
+    return head * pr.euler_product_level_one(xis, q, pmax)
+
+
+def local_moment_factor(xis, q, e: int):
+    """The raw local factor whose product over irreducibles big_g regularizes."""
+    qe = float(q) ** e
+    scale = float(q) ** (-0.5 * e)
+    pm = 1
+    pp = 1
+    for x in xis:
+        pm = pm * (1 - scale * x**e)
+        pp = pp * (1 + scale * x**e)
+    return (1 - 1 / qe) * (1 / qe + (1 / pm + 1 / pp) / 2)
+
+
+# ---------------------------------------------------------------------------
+# level-two Euler data
+
+
+def r_p_3(z1, z2, z3, q):
+    """Local factor of the modified level-one residue in three variables."""
+    out = 1 / (1 - q * (z1 * z2 * z3) ** 2)
+    zs = (z1, z2, z3)
+    for i in range(3):
+        for j in range(i, 3):
+            out = out / (1 - zs[i] * zs[j])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Q1
+
+
+def q1_coefficient_circle(q: int, r: int, D: int,
+                          euler: pr.EulerSpec = pr.EulerSpec(),
+                          quad: pr.QuadSpec = pr.QuadSpec(),
+                          n_xi: int = 32) -> complex:
+    """Q1 via a numeric circle in the generating variable (cross-check route).
+
+    Integrates the level-one principal part over |xi| = q^(-2) instead of
+    extracting the coefficient analytically; much slower.
+    """
+    sq = q**0.5
+    xi_nodes, xi_w = pr._circle(n_xi, q ** (-2.0), center=0.0)
+    out = 0j
+    for w_i, base, extra, prodz in pr._q1_slices(q, r, euler, quad):
+        for xi, wx in zip(xi_nodes, xi_w):
+            pole = 1 / (1 - q**2 * xi**2 / prodz)
+            piece = ((1 - sq) ** (-r)) * extra * pole + q * xi * base * pole
+            out += wx * xi ** (-D - 1) * w_i * piece.sum()
+    return (1 - 1 / q) * pr._sign(r) / factorial(r) * out * q ** (-D)
+
+
+# ---------------------------------------------------------------------------
+# closed-form series
+
+
+class _Series:
+    """Truncated power series with Fraction coefficients."""
+
+    __slots__ = ("c", "n")
+
+    def __init__(self, coeffs, n: int):
+        c = [Fraction(v) for v in coeffs[:n]]
+        c += [Fraction(0)] * (n - len(c))
+        self.c = c
+        self.n = n
+
+    @classmethod
+    def var(cls, n: int) -> "_Series":
+        return cls([0, 1], n)
+
+    def __add__(self, other):
+        o = other if isinstance(other, _Series) else _Series([other], self.n)
+        return _Series([a + b for a, b in zip(self.c, o.c)], self.n)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Series([-a for a in self.c], self.n)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, _Series) else _Series([-Fraction(other)], self.n))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Series):
+            return _Series([a * Fraction(other) for a in self.c], self.n)
+        out = [Fraction(0)] * self.n
+        for i, a in enumerate(self.c):
+            if a:
+                for j in range(self.n - i):
+                    b = other.c[j]
+                    if b:
+                        out[i + j] += a * b
+        return _Series(out, self.n)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "_Series":
+        if self.c[0] == 0:
+            raise ZeroDivisionError("series has no inverse")
+        inv0 = 1 / self.c[0]
+        out = [inv0] + [Fraction(0)] * (self.n - 1)
+        for k in range(1, self.n):
+            s = Fraction(0)
+            for j in range(1, k + 1):
+                s += self.c[j] * out[k - j]
+            out[k] = -inv0 * s
+        return _Series(out, self.n)
+
+    def __pow__(self, m: int) -> "_Series":
+        if m < 0:
+            return self.inverse() ** (-m)
+        out = _Series([1], self.n)
+        base = self
+        while m:
+            if m & 1:
+                out = out * base
+            base = base * base
+            m >>= 1
+        return out
+
+
+def regularized_factor_series(r: int, n_terms: int = 8) -> list[Fraction]:
+    """Exact expansion of the central regularized local polynomial in t."""
+    if r < 3:
+        raise ValueError("needs r >= 3")
+    return pr._regularized_factor(r, _Series.var(n_terms)).c
+
+
+def rank3_local_poly(x, y):
+    """The two-variable local polynomial of the rank-three specialization.
+
+    y may be a scalar or a truncated series; x must be an invertible scalar.
+    """
+    xi = x**-1
+    s = x + xi
+    bracket = (
+        1 + s * y + s**2 * y**2 - 4 * s * y**3 - 5 * s**2 * y**4
+        + (s * (3 * x + xi) * (x + 3 * xi)) * y**5
+        - (s * (7 + 3 * x**2 + 3 * xi**2)) * y**7
+        + (8 + 5 * x**2 + 5 * xi**2) * y**8
+        - s * y**9 - y**10
+    )
+    return (1 - y**2) * (1 - x * y) * (1 - xi * y) * bracket
+
+
+def rank3_local_poly_x1_coeffs(n_terms: int = 14) -> list[Fraction]:
+    y = _Series.var(n_terms)
+    return rank3_local_poly(Fraction(1), y).c
+
+
+# ---------------------------------------------------------------------------
+# residue-sum vs contour-integral identities
+
+
+def _moved_poles(zs, a: list[complex]):
+    """P_a = prod_i (1 - z_i)^(2r) / prod_(i, a) (1 - z_i a)(1 - z_i / a).
+
+    Multiplying a production kernel by P_a moves its order-2r poles at
+    z_i = 1 to the points a and 1/a of a residue sum.
+    """
+    r = len(zs)
+    out = 1
+    for z in zs:
+        prod = (1 - z) ** (2 * r)
+        for av in a:
+            prod = prod / ((1 - z * av) * (1 - z / av))
+        out = out * prod
+    return out
+
+
+def symmetric_pair_sum(h, a: list[complex]) -> complex:
+    """Sum over sign flips of h(a^delta) against the pair-pole kernel."""
+    r = len(a)
+    total = 0
+    for delta in itertools.product((1, -1), repeat=r):
+        vals = [av**dv for av, dv in zip(a, delta)]
+        den = 1
+        for i in range(r):
+            for j in range(i, r):
+                den *= 1 - vals[i] * vals[j]
+        total += h(vals) / den
+    return total
+
+
+def symmetric_pair_integral(h, a: list[complex], rho: float, n: int) -> complex:
+    """The contour side of symmetric_pair_sum, on the Q1 kernel."""
+    r = len(a)
+
+    def fn(zs):
+        return h(zs) * pr._q1_kernel(zs) * _moved_poles(zs, a)
+
+    return pr._sign(r) / factorial(r) * pr.contour_integral(fn, r, rho, n)
+
+
+def permuted_kernel_sum(h, a: list[complex], m: int) -> complex:
+    """Sum over permutations and sign flips of the split-kernel summand."""
+    r = len(a)
+
+    def k_m(vals):
+        den = 1
+        for k in range(m):
+            for l in range(m, r):
+                den *= (1 - vals[k] ** 2 * vals[l] ** 2)
+                den *= (1 - vals[l] ** 2 / vals[k] ** 2)
+        for k in range(m, r):
+            for l in range(k, r):
+                den *= 1 - vals[k] ** 2 * vals[l] ** 2
+        return h(vals) / den
+
+    total = 0
+    for sigma in itertools.permutations(range(r)):
+        for delta in itertools.product((1, -1), repeat=r):
+            vals = [a[sigma[i]] ** delta[sigma[i]] for i in range(r)]
+            total += k_m(vals)
+    return total
+
+
+def permuted_kernel_integral(h, a: list[complex], m: int, rho: float,
+                             n: int) -> complex:
+    """The contour side of permuted_kernel_sum, on the Q2 kernel split at m."""
+    r = len(a)
+
+    def fn(zs):
+        return h(zs) * pr._q2_kernel(zs, m) * _moved_poles(zs, a)
+
+    return pr._sign(r) * pr.contour_integral(fn, r, rho, n)
+
+
+# ---------------------------------------------------------------------------
+# quadratic symbol
+
+
+def symbol_euler(d: tuple[int, ...], p: tuple[int, ...], q: int) -> int:
+    """(d/p) for irreducible monic p via d^((|p|-1)/2) mod p."""
+    d = _mod(d, p, q)
+    if not d:
+        return 0
+    e = (q ** (len(p) - 1) - 1) // 2
+    acc: tuple[int, ...] = (1,)
+    base = d
+    while e:
+        if e & 1:
+            acc = _mod(_mul(acc, base, q), p, q)
+        base = _mod(_mul(base, base, q), p, q)
+        e >>= 1
+    if acc == (1,):
+        return 1
+    if acc == ((q - 1),):
+        return -1
+    raise ArithmeticError("euler criterion did not yield +-1; p not irreducible?")

