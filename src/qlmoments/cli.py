@@ -14,7 +14,8 @@ import sys
 
 from . import cocycle, kacmoody, moments, predictor
 from .exactnum import KNum
-from .ffpoly import BudgetExceededError, _require_modulus, build_sieve
+from .ffpoly import (BudgetExceededError, _divmod, _mul, _require_modulus,
+                     build_sieve, monic_from_index)
 
 VERIFY_NOTE = "normalization: unit auxiliary series assumed for r = 4"
 
@@ -32,12 +33,10 @@ def check_moment_input(args, method: str = "reflect") -> None:
 
 def cmd_moments(args) -> int:
     check_moment_input(args, args.method)
-    workers = args.workers or moments.default_workers()
     if args.format == "csv":
         print("q,r,D,moment_a,moment_b,moment_float,count,seconds")
     for D in range(args.dmin, args.dmax + 1):
-        res = moments.moment(args.q, args.r, D, workers=workers,
-                             method=args.method)
+        res = moments.moment(args.q, args.r, D, method=args.method)
         if args.format == "csv":
             print(res.csv_row(with_timing=args.timing))
         else:
@@ -168,7 +167,6 @@ def cmd_selftest(args) -> int:
     ok = True
     for deg in (1, 2, 3):
         for idx in range(q**deg):
-            from .ffpoly import monic_from_index, _mul, _divmod
             c = monic_from_index(q, deg, idx)
             rebuilt = (1,)
             rest = c
@@ -220,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmin", type=int, default=1)
     p.add_argument("--dmax", type=int, default=6)
     p.add_argument("--method", default="reflect",
-                   choices=["reflect", "sieve", "naive"])
-    p.add_argument("--workers", type=int, default=0)
+                   choices=moments.METHODS)
+    # ignored; kept until a benchmark revision, since perfbench passes --workers 1
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_moments)

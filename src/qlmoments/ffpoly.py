@@ -446,12 +446,11 @@ class FactorSieve:
         return self.table[deg]
 
 
-def build_sieve(q: int, max_deg: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> FactorSieve:
-    return FactorSieve(q, max_deg, cell_budget)
+def build_sieve(q: int, max_deg: int) -> FactorSieve:
+    return FactorSieve(q, max_deg)
 
 
-def enumerate_monic(q: int, deg: int, kind: str = "all",
-                    sieve: Optional[FactorSieve] = None) -> Iterator[FqPoly]:
+def enumerate_monic(q: int, deg: int, kind: str = "all") -> Iterator[FqPoly]:
     """Enumerate monic polynomials of exact degree in deterministic index order.
 
     kind is one of "all", "squarefree", "irreducible".
@@ -460,9 +459,7 @@ def enumerate_monic(q: int, deg: int, kind: str = "all",
     if kind not in ("all", "squarefree", "irreducible"):
         raise ValueError(f"unknown enumeration kind {kind!r}")
     if kind == "irreducible" and deg >= 2:
-        if sieve is None or sieve.max_deg < deg:
-            sieve = FactorSieve(q, deg)
-        for c in sieve.irreducibles(deg):
+        for c in FactorSieve(q, deg).irreducibles(deg):
             yield FqPoly(c, q)
         return
     for idx in range(q**deg):

@@ -138,15 +138,12 @@ def positive_real_roots_up_to_height(r: int, max_height: int,
     return out
 
 
-def positive_real_roots_at_level(r: int, n: int,
-                                 height_bound: int | None = None) -> list[Root]:
+def positive_real_roots_at_level(r: int, n: int) -> list[Root]:
     """The finite set of positive real roots with level coefficient n."""
     if n <= 0:
         raise ValueError("level must be positive")
-    if height_bound is None:
-        # every coefficient of a positive level-n real root is <= n
-        height_bound = (r + 1) * n
-    roots = positive_real_roots_up_to_height(r, height_bound, max_level=n)
+    # every coefficient of a positive level-n real root is <= n
+    roots = positive_real_roots_up_to_height(r, (r + 1) * n, max_level=n)
     return [a for a in roots if a.level == n]
 
 

@@ -1,8 +1,10 @@
 """Exact moments of L(1/2, chi_d) over monic squarefree d.
 
-The moment of order r at degree D is accumulated as an exact pair of
-integers (U, V) with sum_d L(1/2, chi_d)^r = (U + V sqrt(q)) / q^(r*m),
-m = ceil((D-1)/2); floats only appear at report time.
+Each L(u, chi_d) is a polynomial fixed by d, so every route builds the
+same histogram {L-coefficient tuple: number of d} (l_histogram) and the
+moment of order r at degree D is one power sum over it, accumulated as an
+exact pair of integers (U, V) with sum_d L(1/2, chi_d)^r = (U + V sqrt(q))
+/ q^(r*m), m = ceil((D-1)/2); floats only appear at report time.
 
 The production route ("reflect") handles every d of a degree at once, in
 numpy blocks of at most BLOCK indices: a boolean mask marks the
@@ -12,22 +14,17 @@ an affine map on the coefficient digits and a table of the squares mod P
 gives (d/P).  By the explicit formula (Rosen, GTM 210) these prime
 characters give the power sums s_n = sum_{e | n} e sum_{deg P = e}
 (d/P)^(n/e), and Newton's identities n a_n = sum_{k <= n} s_k a_(n-k) the
-low half (a_0, ..., a_h).  Exact big-integer powers are then taken only
-once per distinct low half, completed by the functional equation and
-weighted by its multiplicity.
+low half (a_0, ..., a_h), which the functional equation completes.
 
-Two per-d reference routes cross-check it: "sieve" (full-degree
-character sums per d) and "naive" (per-(d, m) symbol calls).  They are
-partitioned over the coefficient of x^(D-1) into q deterministic slabs,
-merged in slab order, so their result is bit-identical for any worker
-count.  All three routes agree exactly and the test suite enforces it.
+Two per-d reference routes cross-check it, each one serial loop over the
+d of the degree: "sieve" (full-degree character sums per d) and "naive"
+(per-(d, m) symbol calls).  All three routes return equal histograms and
+the test suite enforces it.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -44,6 +41,7 @@ __all__ = [
     "check_budget",
     "moment",
     "generating_series",
+    "l_histogram",
     "low_half_histogram",
     "residual_table",
     "squarefree_count",
@@ -51,6 +49,8 @@ __all__ = [
 ]
 
 DEFAULT_OP_BUDGET = 2 * 10**11
+
+METHODS = ("reflect", "sieve", "naive")
 
 #: Most indices of d handled per step of the table route.  A step takes the
 #: q^k <= BLOCK indices that share their digits above x^k, so its working
@@ -99,6 +99,14 @@ def _estimated_ops(q: int, D: int, method: str) -> int:
     return q ** (2 * D - 1)
 
 
+def _check_input(q: int, D: int, method: str) -> None:
+    ffpoly._require_modulus(q)
+    if D < 1:
+        raise ValueError("need D >= 1")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+
+
 def check_budget(q: int, D: int, method: str = "reflect",
                  op_budget: int = DEFAULT_OP_BUDGET) -> None:
     """Raise BudgetExceededError if degree D would exceed op_budget."""
@@ -107,39 +115,13 @@ def check_budget(q: int, D: int, method: str = "reflect",
             f"D = {D}: estimated {ops} ops exceeds budget {op_budget}")
 
 
-def _scaled_power(a_list: list[int], q: int, r: int) -> tuple[int, int]:
-    """(u + v sqrt q)^r for q^m L(1/2) = u + v sqrt q, m = len(a_list) // 2."""
-    u, v = lfunc._central_pair(a_list, q)
+def _scaled_power(coeffs: tuple[int, ...], q: int, r: int) -> tuple[int, int]:
+    """(u + v sqrt q)^r for q^m L(1/2) = u + v sqrt q, m = len(coeffs) // 2."""
+    u, v = lfunc._central_pair(coeffs, q)
     pu, pv = 1, 0
     for _ in range(r):
         pu, pv = pu * u + q * pv * v, pu * v + pv * u
     return pu, pv
-
-
-def _moment_slab(q: int, r: int, D: int, top: int,
-                 method: str) -> tuple[int, int, int]:
-    """Exact partial sums (U, V, count) over d with x^(D-1) coefficient = top."""
-    sieve = ffpoly.build_sieve(q, max(1, D - 1)) if method == "sieve" else None
-    su = sv = count = 0
-    span = q ** (D - 1)
-    for low in range(span):
-        idx = low + top * span
-        coeffs = ffpoly.monic_from_index(q, D, idx)
-        if not ffpoly._is_squarefree(coeffs, q):
-            continue
-        count += 1
-        if method == "naive":
-            a_list = [1] + [
-                sum(ffpoly.symbol_raw(coeffs, ffpoly.monic_from_index(q, n, i), q)
-                    for i in range(q**n))
-                for n in range(1, D)
-            ]
-        else:
-            a_list = lfunc.l_coefficients(FqPoly(coeffs, q), sieve)
-        pu, pv = _scaled_power(a_list, q, r)
-        su += pu
-        sv += pv
-    return su, sv, count
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +200,7 @@ def low_half_histogram(q: int, D: int) -> dict[tuple[int, ...], int]:
     h = _half_degree(D); the functional equation (lfunc._reflect_coefficients)
     completes each key to the full L-polynomial coefficient list.
     """
-    ffpoly._require_modulus(q)
-    if D < 1:
-        raise ValueError("need D >= 1")
+    _check_input(q, D, "reflect")
     h = _half_degree(D)
     k = 0  # digits below x^k vary inside a block of q^k <= BLOCK indices
     while k < D and q ** (k + 1) <= BLOCK:
@@ -259,45 +239,54 @@ def low_half_histogram(q: int, D: int) -> dict[tuple[int, ...], int]:
     return hist
 
 
-def _table_moment(q: int, r: int, D: int) -> tuple[int, int, int]:
-    su = sv = count = 0
-    for low, mult in low_half_histogram(q, D).items():
-        pu, pv = _scaled_power(lfunc._reflect_coefficients(list(low), D, q),
-                               q, r)
-        su += mult * pu
-        sv += mult * pv
-        count += mult
-    return su, sv, count
+def l_histogram(q: int, D: int, method: str = "reflect"
+                ) -> dict[tuple[int, ...], int]:
+    """{(a_0, ..., a_(D-1)): number of monic squarefree d of degree D whose
+    L(u, chi_d) has those coefficients}.
+
+    "reflect" completes each low_half_histogram key by the functional
+    equation; "sieve" and "naive" compute the coefficients of every d, in
+    one serial pass.
+    """
+    _check_input(q, D, method)
+    if method == "reflect":
+        return {tuple(lfunc._reflect_coefficients(list(low), D, q)): mult
+                for low, mult in low_half_histogram(q, D).items()}
+    sieve = ffpoly.build_sieve(q, max(1, D - 1)) if method == "sieve" else None
+    hist: dict[tuple[int, ...], int] = {}
+    for idx in range(q**D):
+        coeffs = ffpoly.monic_from_index(q, D, idx)
+        if not ffpoly._is_squarefree(coeffs, q):
+            continue
+        if method == "naive":
+            key = (1, *(
+                sum(ffpoly.symbol_raw(coeffs, ffpoly.monic_from_index(q, n, i), q)
+                    for i in range(q**n))
+                for n in range(1, D)))
+        else:
+            key = tuple(lfunc.l_coefficients(FqPoly(coeffs, q), sieve))
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
-def moment(q: int, r: int, D: int, workers: int = 1, method: str = "reflect",
+def moment(q: int, r: int, D: int, method: str = "reflect",
            op_budget: int = DEFAULT_OP_BUDGET) -> MomentResult:
     """Exact moment of order r over monic squarefree d of degree D.
 
-    ``workers`` parallelises the per-d reference routes only; the table
-    route runs in this process.
+    The r-th power sum of L(1/2) over l_histogram(q, D, method), each
+    distinct L-polynomial powered once and weighted by its number of d.
     """
-    ffpoly._require_modulus(q)
-    if D < 1 or r < 1:
-        raise ValueError("need D >= 1 and r >= 1")
-    if method not in ("reflect", "sieve", "naive"):
-        raise ValueError(f"unknown method {method!r}")
+    _check_input(q, D, method)
+    if r < 1:
+        raise ValueError("need r >= 1")
     check_budget(q, D, method, op_budget)
     start = time.perf_counter()
-    if method == "reflect":
-        su, sv, count = _table_moment(q, r, D)
-    else:
-        tops = list(range(q))
-        if workers <= 1 or D == 1:
-            parts = [_moment_slab(q, r, D, t, method) for t in tops]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_moment_slab, q, r, D, t, method)
-                           for t in tops]
-                parts = [f.result() for f in futures]
-        su = sum(p[0] for p in parts)
-        sv = sum(p[1] for p in parts)
-        count = sum(p[2] for p in parts)
+    su = sv = count = 0
+    for coeffs, mult in l_histogram(q, D, method).items():
+        pu, pv = _scaled_power(coeffs, q, r)
+        su += mult * pu
+        sv += mult * pv
+        count += mult
     assert count == squarefree_count(q, D)
     den = q ** (r * (D // 2))
     return MomentResult(
@@ -312,13 +301,10 @@ def zeroth_moment_pair(q: int, r: int) -> tuple[Fraction, Fraction]:
     return (zeta_at_half(q) ** r).sqrt_pair()
 
 
-def generating_series(q: int, r: int, d_max: int, xi: complex,
-                      include_zero: bool = True) -> complex:
-    """Partial sum over degrees of the moment generating function at xi."""
-    out = 0j
-    if include_zero:
-        a0, b0 = zeroth_moment_pair(q, r)
-        out += complex(float(a0) + float(b0) * q**0.5)
+def generating_series(q: int, r: int, d_max: int, xi: complex) -> complex:
+    """Partial sum over degrees 0..d_max of the moment generating function at xi."""
+    a0, b0 = zeroth_moment_pair(q, r)
+    out = complex(float(a0) + float(b0) * q**0.5)
     for D in range(1, d_max + 1):
         out += moment(q, r, D).value * xi**D
     return out
@@ -350,7 +336,3 @@ def residual_table(q: int, r: int, degrees: list[int],
         norm = residual / q ** (D * (1 + theta) / 2)
         rows.append(ResidualRow(D, res.a, res.b, res.value, pred, residual, norm))
     return rows
-
-
-def default_workers() -> int:
-    return min(8, os.cpu_count() or 1)

@@ -250,7 +250,13 @@ def euler_product_level_one(zs, q, pmax: int):
     return np.exp(log_total)
 
 
-def _tail_sum(factor_minus_one, q: int, pmax: int, probes: int = 24,
+#: Degrees past the cutoff that _tail_sum evaluates at most, and the modulus
+#: |xi_k| of the point where the tail estimates probe the local factors.
+TAIL_PROBES = 24
+TAIL_RADIUS = 1.1
+
+
+def _tail_sum(factor_minus_one, q: int, pmax: int,
               floor: float = 1e-13) -> float:
     """Sum counts(e) * |factor(e) - 1| past the cutoff, with a geometric top-up.
 
@@ -260,7 +266,7 @@ def _tail_sum(factor_minus_one, q: int, pmax: int, probes: int = 24,
     """
     tail = 0.0
     prev = None
-    for e in range(pmax + 1, pmax + probes + 1):
+    for e in range(pmax + 1, pmax + TAIL_PROBES + 1):
         dev = abs(factor_minus_one(e))
         if dev < floor:
             break
@@ -268,17 +274,16 @@ def _tail_sum(factor_minus_one, q: int, pmax: int, probes: int = 24,
         tail += term
         if prev is not None and term < prev:
             ratio = term / prev
-            if e == pmax + probes or dev < 3 * floor:
+            if e == pmax + TAIL_PROBES or dev < 3 * floor:
                 tail += term * ratio / (1 - ratio)
                 break
         prev = term
     return float(tail)
 
 
-def level_one_tail_estimate(q: int, r: int, pmax: int,
-                            radius: float = 1.1) -> float:
-    """Truncation tail of the level-one product, probed at |xi_k| = radius."""
-    probe = [radius] * r
+def level_one_tail_estimate(q: int, r: int, pmax: int) -> float:
+    """Truncation tail of the level-one product, probed at |xi_k| = TAIL_RADIUS."""
+    probe = [TAIL_RADIUS] * r
     return _tail_sum(
         lambda e: _level_one_log_factor(probe, q, e), q, pmax, floor=1e-19)
 
@@ -342,10 +347,9 @@ def euler_product_regularized(xis, zeta, a_sign: int, q, pmax: int):
     return out
 
 
-def regularized_tail_estimate(q: int, r: int, a_sign: int, pmax: int,
-                              radius: float = 1.1) -> float:
-    """Truncation tail of the regularized product, probed at |xi_k| = radius."""
-    probe = [radius] * r
+def regularized_tail_estimate(q: int, r: int, a_sign: int, pmax: int) -> float:
+    """Truncation tail of the regularized product, probed at |xi_k| = TAIL_RADIUS."""
+    probe = [TAIL_RADIUS] * r
 
     def dev(e: int):
         return regularized_local_factor(probe, 1 + 0j, a_sign, q, e) - 1
@@ -517,13 +521,14 @@ def q2_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     One q2_term_profile grid pass per fourth root of unity zeta, shared
     across all degrees; the pieces come in ZETA_FOURTH order.
     """
+    degrees = _degrees(degrees)
     profiles = {zeta: q2_term_profile(q, r, degrees, zeta, euler, quad)
                 for zeta in ZETA_FOURTH}
     norm = 1 / (2**5 * 6 * factorial(r - 3))
     return {
         D: {zeta: norm * ((1 - q**0.5) ** (-r) * prof[D][0] + prof[D][1])
             for zeta, prof in profiles.items()}
-        for D in _degrees(degrees)
+        for D in degrees
     }
 
 
@@ -553,6 +558,7 @@ def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
         raise ValueError("the prediction has N = 1 or N = 2 terms")
     if n_terms == 2 and r < 4:  # fail before the Q1 grid pass, not after
         raise ValueError("the second term (N = 2) needs r >= 4")
+    degrees = _degrees(degrees)
     q1 = q1_profile(q, r, degrees, euler, quad)
     preds = {D: q1[D].real * q**D for D in degrees}
     if n_terms == 2:
@@ -610,21 +616,18 @@ def q2_leading_coefficient(q: int, r: int, euler: EulerSpec = EulerSpec()
 # closed-form constants
 
 
-def _regularized_factor(r: int, t):
-    """The central regularized local polynomial at t.
+def regularized_factor_value(r: int, t):
+    """The central regularized local polynomial at t, for |t| < 1.
 
-    Only ring operations, integer powers and Fraction(1, 2) act on t.
+    Only ring operations, integer powers and Fraction(1, 2) act on t, so it
+    evaluates on floats and on ring types alike, such as the tests' power
+    series in t.
     """
     bracket = (t + t**2) * (t + 6 * t**2 + t**3) \
         + Fraction(1, 2) * (1 + t) ** (4 - r) \
         + Fraction(1, 2) * (1 - t) ** (-r) * (1 + 10 * t + 20 * t**2 + 10 * t**3 + t**4)
     return (1 - t) ** ((r * r + 7 * r - 14) // 2) \
         * (1 + t) ** ((r * r + 7 * r - 28) // 2) * bracket
-
-
-def regularized_factor_value(r: int, t: float) -> float:
-    """Numeric evaluation of the same closed product, for |t| < 1."""
-    return _regularized_factor(r, t)
 
 
 def binomial_determinant(r: int) -> int:

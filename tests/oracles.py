@@ -175,7 +175,7 @@ def regularized_factor_series(r: int, n_terms: int = 8) -> list[Fraction]:
     """Exact expansion of the central regularized local polynomial in t."""
     if r < 3:
         raise ValueError("needs r >= 3")
-    return pr._regularized_factor(r, _Series.var(n_terms)).c
+    return pr.regularized_factor_value(r, _Series.var(n_terms)).c
 
 
 def rank3_local_poly(x, y):

@@ -41,6 +41,14 @@ def test_moments_json():
     assert row["moment_a"] == "5" and row["count"] == 5
 
 
+def test_moments_accepts_and_ignores_workers():
+    args = ("moments", "--q", "5", "--r", "4", "--dmin", "1", "--dmax", "5")
+    one = run_cli(*args, "--workers", "1")
+    three = run_cli(*args, "--workers", "3")
+    assert one.returncode == 0
+    assert one.stdout == three.stdout
+
+
 # stdout of `moments --q 5 --r 4 --dmin 6 --dmax 9` and `--q 13 --r 4 --dmin 5
 # --dmax 5`, pinned byte for byte at degrees whose low half reaches a_2 to a_4
 # (the benchmark references stop at D = 5 and D = 4)

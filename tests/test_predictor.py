@@ -392,6 +392,15 @@ class TestMomentPrediction:
             term = q2.value * Q ** (0.75 * D)
             assert abs(two[D] - one[D] - term) <= 1e-9 * abs(two[D])
 
+    def test_degrees_may_be_a_one_shot_iterable(self):
+        for n_terms in (1, 2):
+            got = pr.moment_prediction(Q, 4, (D for D in [3, 4]), n_terms,
+                                       self.EULER, self.QUAD)
+            assert got == pr.moment_prediction(Q, 4, [3, 4], n_terms,
+                                               self.EULER, self.QUAD)
+        pieces = pr.q2_profile(Q, 4, (D for D in [3, 4]), self.EULER, self.QUAD)
+        assert sorted(pieces) == [3, 4]
+
     def test_rejects_bad_term_count_before_any_grid_pass(self):
         with pytest.raises(ValueError, match="N = 1 or N = 2"):
             pr.moment_prediction(Q, 4, [3], 3)
