@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+
+import numpy as np
 
 from . import cocycle, kacmoody, moments, predictor
 from .exactnum import KNum
@@ -49,22 +52,32 @@ def cmd_moments(args) -> int:
     return 0
 
 
+def require_finite(what: str, values: dict, pmax: int) -> None:
+    """Reject non-finite prediction numbers (an overflowing Euler product)."""
+    bad = [k for k, v in values.items()
+           if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite {what} ({', '.join(bad)}); "
+                         f"try a --pmax below {pmax}")
+
+
 def cmd_predict(args) -> int:
     euler = predictor.EulerSpec(pmax=args.pmax)
     rho = args.rho
     if rho is None:
-        rho = 0.1 if args.which == "q1" else predictor.Q2_QUAD.rho
+        rho = predictor.QuadSpec.rho if args.which == "q1" else predictor.Q2_QUAD.rho
     quad = predictor.QuadSpec(rho=rho, n_points=args.quad)
-    if args.which == "q1":
-        res = predictor.q1_coefficient(args.q, args.r, args.D, euler, quad)
-    else:
-        res = predictor.q2_coefficient(args.q, args.r, args.D, euler, quad)
+    coefficient = (predictor.q1_coefficient if args.which == "q1"
+                   else predictor.q2_coefficient)
+    with np.errstate(all="ignore"):  # a non-finite result is reported below
+        res = coefficient(args.q, args.r, args.D, euler, quad)
     payload = {
         "kind": args.which, "q": res.q, "r": res.r, "D": res.D,
         "value": res.value, "imag_rel": res.imag_rel,
         "truncation_tail": res.tail_estimate,
         "refinement_delta": res.refine_delta,
     }
+    require_finite(f"{args.which} prediction at D = {args.D}", payload, args.pmax)
     if res.note:
         payload["note"] = res.note
     if args.format == "json":
@@ -125,9 +138,12 @@ def cmd_verify(args) -> int:
     if not 1 / (args.N + 1) < theta < 1 / args.N:
         raise ValueError(f"theta must lie in (1/{args.N + 1}, 1/{args.N})")
     degrees = list(range(args.dmin, args.dmax + 1))
-    preds = predictor.moment_prediction(
-        args.q, args.r, degrees, args.N, predictor.EulerSpec(pmax=args.pmax),
-        predictor.QuadSpec(rho=args.rho, n_points=args.quad))
+    with np.errstate(all="ignore"):  # a non-finite result is reported below
+        preds = predictor.moment_prediction(
+            args.q, args.r, degrees, args.N, predictor.EulerSpec(pmax=args.pmax),
+            predictor.QuadSpec(rho=args.rho, n_points=args.quad))
+    require_finite("prediction", {f"D = {D}": v for D, v in preds.items()},
+                   args.pmax)
     rows = moments.residual_table(args.q, args.r, degrees, preds, theta)
     if args.format == "csv":
         if args.r == 4:
@@ -230,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=5)
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--pmax", type=int, default=12)
+    p.add_argument("--pmax", type=int, default=predictor.EulerSpec.pmax)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--quad", type=int, default=64)
+    p.add_argument("--quad", type=int, default=predictor.QuadSpec.n_points)
     p.add_argument("--format", default="json", choices=["csv", "json"])
     p.set_defaults(func=cmd_predict)
 
@@ -260,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=1, choices=[1, 2])
     p.add_argument("--theta", type=float, default=None,
                    help="defaults to the midpoint of (1/(N+1), 1/N)")
-    p.add_argument("--pmax", type=int, default=12)
-    p.add_argument("--rho", type=float, default=0.1)
-    p.add_argument("--quad", type=int, default=64)
+    p.add_argument("--pmax", type=int, default=predictor.EulerSpec.pmax)
+    p.add_argument("--rho", type=float, default=predictor.QuadSpec.rho)
+    p.add_argument("--quad", type=int, default=predictor.QuadSpec.n_points)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(func=cmd_verify)
 

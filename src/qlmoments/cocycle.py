@@ -325,8 +325,7 @@ def local_residue_factor(word: tuple[int, ...], alpha: Root, xi: tuple,
     z = residue_point(alpha, xi, zeta, q, sqrt_q, quarter_q)
     ze = tuple(v**e for v in z)
     qe = q**e
-    chi = a_sign**e if isinstance(a_sign, int) else a_sign
-    l1, l2, l3 = local_coefficient_row(word, ze, qe, sqrt_q**e, chi, half)
+    l1, l2, l3 = local_coefficient_row(word, ze, qe, sqrt_q**e, a_sign**e, half)
     r = len(z) - 1
     prod_minus = 1
     prod_plus = 1

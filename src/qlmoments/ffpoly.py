@@ -7,9 +7,9 @@ q == 1 (mod 4), which gives the clean reciprocity law
 (d/m) = (m/d) for coprime monic non-constant d, m; the symbol routine
 below is a GCD-style chain of such swaps.
 
-Hot paths (the character-sum sieve, the moment oracle) work on raw tuples
-and integer indices of monic polynomials; :class:`FqPoly` is a thin
-immutable wrapper for the public API.
+The character-sum sieve and the per-d reference routes of the moment oracle
+work on raw tuples and integer indices of monic polynomials (the oracle's
+numpy table route does not); :class:`FqPoly` wraps them for the public API.
 """
 
 from __future__ import annotations

@@ -168,7 +168,6 @@ def reduction_word(alpha: Root) -> tuple[int, ...]:
             raise ArithmeticError("descent did not terminate; input not a real root?")
         if cur.height == 1:
             # cur = alpha_i with i <= r: raise to alpha_i + alpha_{r+1}, then drop
-            i = cur.k.index(1) + 1
             cur = reflect(r + 1, cur)
             applied.append(r + 1)
             continue

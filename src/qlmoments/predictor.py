@@ -8,9 +8,9 @@ Two pipelines are implemented on top of the cocycle module:
   integrand (split by the parity of D);
 
 * the first secondary coefficient Q2(D, q), from the level-two residue
-  data: the closed-form weight functions G1/G2, the regularized local
-  Euler factors, and the r-fold contour integral with the mixed
-  Vandermonde kernel.
+  data: weights G1/G2, regularized local Euler factors and the mixed
+  Vandermonde kernel in one r-fold contour pass for all four fourth roots
+  of unity zeta (each fixes its sign sgn(a) = zeta^2, see ZETA_FOURTH).
 
 Euler products are truncated at a degree cutoff; each truncation carries a
 reported tail estimate.  All contour quadrature is the trapezoid rule on
@@ -57,7 +57,8 @@ __all__ = [
     "vandermonde_core_integral",
 ]
 
-ZETA_FOURTH = (1 + 0j, -1 + 0j, 1j, -1j)
+#: The fourth roots of unity zeta, each mapped to its sign sgn(a) = zeta^2.
+ZETA_FOURTH = {1 + 0j: 1, -1 + 0j: 1, 1j: -1, -1j: -1}
 
 
 @dataclass(frozen=True)
@@ -339,7 +340,8 @@ def regularized_local_factor(xis, zeta, a_sign: int, q, e: int):
     return raw * r3_inv * corr
 
 
-def euler_product_regularized(xis, zeta, a_sign: int, q, pmax: int):
+def euler_product_regularized(xis, zeta, q, pmax: int):
+    a_sign = ZETA_FOURTH[zeta]
     out = 1
     for e in range(1, pmax + 1):
         out = out * regularized_local_factor(
@@ -347,19 +349,17 @@ def euler_product_regularized(xis, zeta, a_sign: int, q, pmax: int):
     return out
 
 
-def regularized_tail_estimate(q: int, r: int, a_sign: int, pmax: int) -> float:
-    """Truncation tail of the regularized product, probed at |xi_k| = TAIL_RADIUS."""
+def regularized_tail_estimate(q: int, r: int, pmax: int) -> float:
+    """Truncation tail of the regularized product: the larger of the probes at
+    zeta = 1 with sgn(a) = +1 and -1, |xi_k| = TAIL_RADIUS."""
     probe = [TAIL_RADIUS] * r
-
-    def dev(e: int):
-        return regularized_local_factor(probe, 1 + 0j, a_sign, q, e) - 1
-
-    return _tail_sum(dev, q, pmax)
+    return max(_tail_sum(lambda e: regularized_local_factor(probe, 1 + 0j, s, q, e) - 1,
+                         q, pmax) for s in (1, -1))
 
 
-def secondary_weight_functions(zs, zeta, a_sign: int, q):
+def secondary_weight_functions(zs, zeta, q):
     """The two archimedean weights of the level-two residue (any scalar type)."""
-    r = len(zs)
+    a_sign = ZETA_FOURTH[zeta]
     sq = float(q) ** 0.5
     q34 = float(q) ** 0.75
     z1, z2, z3 = zs[0], zs[1], zs[2]
@@ -484,51 +484,51 @@ def _q2_kernel(zs, m):
 Q2_QUAD = QuadSpec(rho=0.05, n_points=64)
 
 
-def q2_term_profile(q: int, r: int, degrees, zeta: complex,
-                    euler: EulerSpec = EulerSpec(),
-                    quad: QuadSpec = Q2_QUAD) -> dict[int, tuple[complex, complex]]:
+def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
+                    quad: QuadSpec = Q2_QUAD
+                    ) -> dict[int, dict[complex, tuple[complex, complex]]]:
     """The two D-indexed contour integrals of the level-two machinery.
 
-    Returns {D: (first, second)} for one fourth root of unity zeta; the
-    grid pass is shared across all degrees.
+    Returns {D: {zeta: (first, second)}} for every fourth root of unity zeta,
+    in ZETA_FOURTH order; one grid pass serves all roots and degrees.
     """
     _require_modulus(q)
     if r < 4:
         raise ValueError("the level-two coefficient needs r >= 4")
     degrees = _degrees(degrees)
-    a_sign = 1 if (zeta**2).real > 0 else -1
-    acc = {d: [0j, 0j] for d in degrees}
+    acc = {d: {zeta: [0j, 0j] for zeta in ZETA_FOURTH} for d in degrees}
     for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
-        g1, g2 = secondary_weight_functions(zs, zeta, a_sign, q)
-        sreg = euler_product_regularized(zs, zeta, a_sign, q, euler.pmax)
-        kern = _q2_kernel(zs, 3) * w_rest * sreg
-        core1 = g1 * kern
-        core2 = g2 * kern
         tailprod = _product(zs[3:])
-        for d in degrees:
-            damp = tailprod ** (-d)
-            acc[d][0] += w_i * (core1 * damp).sum()
-            acc[d][1] += w_i * (core2 * damp).sum()
+        for zeta in ZETA_FOURTH:
+            g1, g2 = secondary_weight_functions(zs, zeta, q)
+            sreg = euler_product_regularized(zs, zeta, q, euler.pmax)
+            # one expression per root: hoisting the kernel moved last bits on some hosts
+            kern = _q2_kernel(zs, 3) * w_rest * sreg
+            core1 = g1 * kern
+            core2 = g2 * kern
+            for d in degrees:
+                damp = tailprod ** (-d)
+                acc[d][zeta][0] += w_i * (core1 * damp).sum()
+                acc[d][zeta][1] += w_i * (core2 * damp).sum()
     sign = _sign(r)
-    return {d: (complex(sign * acc[d][0]), complex(sign * acc[d][1]))
-            for d in degrees}
+    return {d: {zeta: (complex(sign * first), complex(sign * second))
+                for zeta, (first, second) in pieces.items()}
+            for d, pieces in acc.items()}
 
 
 def q2_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
                quad: QuadSpec = Q2_QUAD) -> dict[int, dict[complex, complex]]:
     """{D: {zeta: piece}} with Q2(D, q) = sum over zeta of zeta^D * piece.
 
-    One q2_term_profile grid pass per fourth root of unity zeta, shared
-    across all degrees; the pieces come in ZETA_FOURTH order.
+    One q2_term_profile grid pass, shared across all roots and degrees; the
+    pieces come in ZETA_FOURTH order.
     """
-    degrees = _degrees(degrees)
-    profiles = {zeta: q2_term_profile(q, r, degrees, zeta, euler, quad)
-                for zeta in ZETA_FOURTH}
+    terms = q2_term_profile(q, r, degrees, euler, quad)
     norm = 1 / (2**5 * 6 * factorial(r - 3))
     return {
-        D: {zeta: norm * ((1 - q**0.5) ** (-r) * prof[D][0] + prof[D][1])
-            for zeta, prof in profiles.items()}
-        for D in degrees
+        D: {zeta: norm * ((1 - q**0.5) ** (-r) * first + second)
+            for zeta, (first, second) in pieces.items()}
+        for D, pieces in terms.items()
     }
 
 
@@ -541,7 +541,7 @@ def q2_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
         return sum(zeta**D * piece for zeta, piece in by_zeta.items()), by_zeta
 
     val, by_zeta = assemble(quad)
-    tail = max(regularized_tail_estimate(q, r, s, euler.pmax) for s in (1, -1))
+    tail = regularized_tail_estimate(q, r, euler.pmax)
     delta = _refine_delta(val, lambda spec: assemble(spec)[0], quad, refine)
     return Coefficient.of(q, r, D, val, tail, delta, by_zeta=by_zeta)
 

@@ -288,6 +288,20 @@ def test_predict_refinement_null_without_a_half_grid():
     assert json.loads(p.stdout)["refinement_delta"] is None
 
 
+# at pmax = 28 the level-two product overflows (factor ** count) to NaN
+def test_predict_non_finite_is_one_error_line():
+    p = run_cli("predict", "q2", "--pmax", "28", "--quad", "8", "--D", "6")
+    assert_one_line_error(p)
+    assert "non-finite q2 prediction" in p.stderr and "--pmax" in p.stderr
+
+
+def test_verify_non_finite_is_one_error_line():
+    p = run_cli("verify", "--N", "2", "--pmax", "28", "--dmin", "3", "--dmax", "4",
+                "--quad", "8")
+    assert_one_line_error(p)
+    assert "non-finite prediction" in p.stderr and "--pmax" in p.stderr
+
+
 @pytest.mark.parametrize("q", ["5", "0"])
 def test_cocycle_eval_singular_point_is_one_error_line(q):
     # u = 1 zeroes the base matrix's first denominator; q = 0 zeroes q u

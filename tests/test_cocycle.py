@@ -224,6 +224,14 @@ class TestLocalData:
             want = cc.local_residue_factor((), trivial, flipped, zeta, a, q, sq, t, 1, 0.5)
             assert abs(got - want) < 1e-11 * abs(want)
 
+    def test_float_sign_is_raised_to_the_degree(self):
+        # sgn(a) -> sgn(a)^e whatever the sign's numeric type
+        args = ((1, 2, 3, 5), Root((1, 1, 1, 0, 2)), (1.01, 0.99, 1.02, 0.98), 1j)
+        rest = (5.0, 5**0.5, 5**0.25, 2, 0.5)
+        as_int = cc.local_residue_factor(*args, -1, *rest)
+        as_float = cc.local_residue_factor(*args, -1.0, *rest)
+        assert as_float == as_int
+
     def test_residue_point_constraint(self, rng):
         # prod_i z_i^{k_i} * z_last^n = zeta^{-n} q^{-(d+1)/2}, exactly in K
         for ks, zeta_pow in (((1, 1, 1, 0, 2), 1), ((1, 0, 1, 1, 1), 0),

@@ -281,7 +281,7 @@ class TestWeights:
         # clearing the displayed prefactors recovers the exact table entries
         for k, zeta in ((0, 1 + 0j), (2, -1 + 0j), (1, 1j), (3, -1j)):
             sgn = 1 if k % 2 == 0 else -1
-            g1, g2 = pr.secondary_weight_functions([1.0 + 0j] * 4, zeta, sgn, Q)
+            g1, g2 = pr.secondary_weight_functions([1.0 + 0j] * 4, zeta, Q)
             table = (g1 * (1 - sgn * Q**0.5) ** 7 / (1 - Q**0.5) ** 4
                      + g2 * (1 - sgn * Q**0.5) ** 7)
             from qlmoments.cocycle import gamma_table_entry
@@ -363,6 +363,19 @@ class TestQ2:
         assert list(res.by_zeta) == list(pr.ZETA_FOURTH)
         assert res.by_zeta == pieces[5]
         assert res.value == sum(z**5 * p for z, p in pieces[5].items()).real
+
+    def test_one_torus_walk_serves_every_root(self, monkeypatch):
+        walks = []
+        torus = pr._torus
+
+        def counted(*args, **kwargs):
+            walks.append(args)
+            return torus(*args, **kwargs)
+
+        monkeypatch.setattr(pr, "_torus", counted)
+        pieces = pr.q2_profile(Q, 4, [4, 5], pr.EulerSpec(6), pr.QuadSpec(0.05, 8))
+        assert len(walks) == 1
+        assert all(list(pieces[D]) == list(pr.ZETA_FOURTH) for D in (4, 5))
 
     def test_leading_coefficient_pieces(self):
         lead = pr.q2_leading_coefficient(Q, 4, pr.EulerSpec(8))
