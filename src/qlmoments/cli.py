@@ -91,8 +91,9 @@ def cmd_predict(args) -> int:
 
 def cmd_roots(args) -> int:
     roots = kacmoody.positive_real_roots_at_level(args.r, args.level)
-    for alpha in roots:
-        word = kacmoody.reduction_word(alpha)
+    # every word before any output, so a rejected root prints nothing
+    words = [kacmoody.reduction_word(alpha) for alpha in roots]
+    for alpha, word in zip(roots, words):
         print(json.dumps({
             "k": list(alpha.k), "height": alpha.height,
             "word": list(word),

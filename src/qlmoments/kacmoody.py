@@ -153,11 +153,15 @@ def reduction_word(alpha: Root) -> tuple[int, ...]:
     Greedy height descent, ties broken toward the smallest generator
     index; simple roots other than the last take the two-step detour
     through level one.  The result is certified reduced via its inversion
-    set before returning.
+    set before returning.  Levels above 2 are rejected: there the descent
+    can end in a word that is not reduced.
     """
     r = alpha.rank
     if not alpha.is_positive:
         raise ValueError("expected a positive root")
+    if alpha.level > 2:
+        raise ValueError(f"reduction words are supported at levels 1 and 2, "
+                         f"not level {alpha.level}")
     target = simple_root(r + 1, r)
     applied: list[int] = []  # letters in the order they act on alpha
     cur = alpha

@@ -13,9 +13,13 @@ Two pipelines are implemented on top of the cocycle module:
   of unity zeta (each fixes its sign sgn(a) = zeta^2, see ZETA_FOURTH).
 
 Euler products are truncated at a degree cutoff; each truncation carries a
-reported tail estimate.  All contour quadrature is the trapezoid rule on
-circles (spectrally accurate for these analytic integrands), and every
-r-fold integral walks the one grid generator _torus, for every r >= 1.
+reported tail estimate.  The level-two product serves all four roots at
+once: a degree-e factor depends on zeta only through sgn(a)^e, so it is
+evaluated once per (e, sgn(a)^e), 18 of 48 at pmax = 12, with its
+zeta-independent half once per degree.  All contour quadrature is the
+trapezoid rule on circles (spectrally accurate for these analytic
+integrands), and every r-fold integral walks the one grid generator
+_torus, for every r >= 1.
 Both coefficients are reported as a Coefficient record: the value, its
 relative imaginary residue, the truncation tail and the refinement delta
 (the same integral re-run at half resolution, see _refine_delta).  Exact
@@ -67,6 +71,9 @@ class EulerSpec:
 
     Factors are evaluated once per degree and raised to the count of
     irreducibles of that degree, so a generous cutoff costs almost nothing.
+    A level-two factor is evaluated once per (degree, sgn(a)^e), shared by
+    the roots it does not tell apart (18 of 4 * 12 at pmax = 12), on top of
+    a zeta-independent half evaluated once per degree.
     """
 
     pmax: int = 12
@@ -293,19 +300,33 @@ def level_one_tail_estimate(q: int, r: int, pmax: int) -> float:
 # level-two Euler data
 
 
-def regularized_local_factor(xis, zeta, a_sign: int, q, e: int):
-    """S_p^reg at an irreducible of degree e; equals 1 + O(|p|^(-3/2)).
-
-    The substitution for general p raises every variable (including zeta)
-    to the e-th power and replaces q by q^e.
-    """
+def _shared_factor(xis, q, e: int):
+    """The zeta-independent half of the degree-e regularized factor:
+    (x, q^e, q^(e/4), pm, pp, corr) with x = [xi^e], pm and pp the products
+    of 1 -+ x_i^2 / q^(e/2), and corr the r >= 4 cross factor."""
     r = len(xis)
     x = [v**e for v in xis]
-    ze = zeta**e
-    se = a_sign**e
     qe = float(q) ** e
-    q4 = float(q) ** (0.25 * e)
     sq = float(q) ** (0.5 * e)
+    pm = 1
+    pp = 1
+    for v in x:
+        pm = pm * (1 - v * v / sq)
+        pp = pp * (1 + v * v / sq)
+    corr = 1
+    for i in range(3):
+        for j in range(3, r):
+            corr = corr * (1 - x[i] ** 2 * x[j] ** 2 / qe)
+            corr = corr * (1 - x[j] ** 2 / (x[i] ** 2 * qe))
+    for k in range(3, r):
+        for l in range(k, r):
+            corr = corr * (1 - x[k] ** 2 * x[l] ** 2 / qe)
+    return x, qe, float(q) ** (0.25 * e), pm, pp, corr
+
+
+def _root_factor(shared, ze, se: int):
+    """The degree-e factor from its shared half and ze = zeta^e, se = sgn(a)^e."""
+    x, qe, q4, pm, pp, corr = shared
     d1, d2, d3, e1, e2, e3 = de_diagonals(x[0], x[1], x[2], ze, q4)
     t_plus = d1 + d3 + 2 * se * d2
     t_minus = d1 + d3 - 2 * se * d2
@@ -314,11 +335,6 @@ def regularized_local_factor(xis, zeta, a_sign: int, q, e: int):
     l_dif = (e1 * t_plus + e3 * t_minus) / 8 - e2 * (d1 - d3) / 4
     p123 = x[0] * x[1] * x[2]
     last = 1 / (q4**3 * ze * p123)
-    pm = 1
-    pp = 1
-    for v in x:
-        pm = pm * (1 - v * v / sq)
-        pp = pp * (1 + v * v / sq)
     raw = (1 - 1 / qe) * (l_one * last + l_sum / pm + l_dif / pp)
     # clear the rank-three residue poles
     a1 = ze * x[1] * x[2] / (q4 * x[0])
@@ -329,24 +345,39 @@ def regularized_local_factor(xis, zeta, a_sign: int, q, e: int):
     for i in range(3):
         for j in range(i, 3):
             r3_inv = r3_inv * (1 - avec[i] * avec[j])
-    corr = 1
-    for i in range(3):
-        for j in range(3, r):
-            corr = corr * (1 - x[i] ** 2 * x[j] ** 2 / qe)
-            corr = corr * (1 - x[j] ** 2 / (x[i] ** 2 * qe))
-    for k in range(3, r):
-        for l in range(k, r):
-            corr = corr * (1 - x[k] ** 2 * x[l] ** 2 / qe)
     return raw * r3_inv * corr
 
 
-def euler_product_regularized(xis, zeta, q, pmax: int):
-    a_sign = ZETA_FOURTH[zeta]
-    out = 1
+def regularized_local_factor(xis, zeta, a_sign: int, q, e: int):
+    """S_p^reg at an irreducible of degree e; equals 1 + O(|p|^(-3/2)).
+
+    The substitution for general p raises every variable (including zeta)
+    to the e-th power and replaces q by q^e.
+    """
+    return _root_factor(_shared_factor(xis, q, e), zeta**e, a_sign**e)
+
+
+def euler_product_regularized(xis, q, pmax: int) -> dict:
+    """{zeta: truncated regularized product} for the four roots, in
+    ZETA_FOURTH order.
+
+    A degree-e factor is even in zeta^e: zeta -> -zeta swaps d1 with d3 and
+    e1 with e3 and negates d2, e2, last and every a_i, which leaves each term
+    unchanged, in floats bit for bit.  So the factor depends on zeta only
+    through sgn(a)^e = zeta^(2e): it is evaluated and raised to its count
+    once per sign at odd e and once at even e, from a zeta-independent half
+    evaluated once per degree, and the two roots of one sign share one
+    product array.
+    """
+    by_sign = {1: 1, -1: 1}
     for e in range(1, pmax + 1):
-        out = out * regularized_local_factor(
-            xis, zeta, a_sign, q, e) ** irreducible_count(q, e)
-    return out
+        shared = _shared_factor(xis, q, e)
+        count = irreducible_count(q, e)
+        plus = _root_factor(shared, 1 + 0j, 1) ** count
+        minus = plus if e % 2 == 0 else _root_factor(shared, 1j**e, -1) ** count
+        by_sign[1] = by_sign[1] * plus
+        by_sign[-1] = by_sign[-1] * minus
+    return {zeta: by_sign[a_sign] for zeta, a_sign in ZETA_FOURTH.items()}
 
 
 def regularized_tail_estimate(q: int, r: int, pmax: int) -> float:
@@ -499,11 +530,11 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     acc = {d: {zeta: [0j, 0j] for zeta in ZETA_FOURTH} for d in degrees}
     for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
         tailprod = _product(zs[3:])
+        sregs = euler_product_regularized(zs, q, euler.pmax)
         for zeta in ZETA_FOURTH:
             g1, g2 = secondary_weight_functions(zs, zeta, q)
-            sreg = euler_product_regularized(zs, zeta, q, euler.pmax)
             # one expression per root: hoisting the kernel moved last bits on some hosts
-            kern = _q2_kernel(zs, 3) * w_rest * sreg
+            kern = _q2_kernel(zs, 3) * w_rest * sregs[zeta]
             core1 = g1 * kern
             core2 = g2 * kern
             for d in degrees:
@@ -594,17 +625,19 @@ def q2_leading_coefficient(q: int, r: int, euler: EulerSpec = EulerSpec()
     front = float(Fraction(2) ** (19 - 7 * r) * _factorial_ratio(r))
     zeta_half_7 = zeta_at_half(q) ** 7
     l_half_7 = l_at_half_unit(q) ** 7
+    eul = {}
+    for sgn in (1, -1):  # the central product depends on zeta only through sgn(a)
+        eul[sgn] = 1.0
+        for e in range(1, euler.pmax + 1):
+            eul[sgn] *= regularized_factor_value(
+                r, (sgn**e) * float(q) ** (-0.5 * e)) ** irreducible_count(q, e)
     out: dict[str, complex] = {}
     pieces = []
     for k in range(4):
         table = gamma_table_entry(k, q).embed()
         sgn = 1 if k % 2 == 0 else -1
         arch = (zeta_half_7 if sgn == 1 else l_half_7).embed()
-        eul = 1.0
-        for e in range(1, euler.pmax + 1):
-            eul *= regularized_factor_value(
-                r, (sgn**e) * float(q) ** (-0.5 * e)) ** irreducible_count(q, e)
-        piece = front * table * arch * eul
+        piece = front * table * arch * eul[sgn]
         pieces.append(piece)
         out[f"zeta^{k}"] = piece
     out["even"] = pieces[0] + pieces[2]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from qlmoments import predictor as pr
-from qlmoments.ffpoly import _mod, _mul
+from qlmoments.ffpoly import _mod, _mul, irreducible_count
 
 # ---------------------------------------------------------------------------
 # level-one Euler data
@@ -62,6 +62,26 @@ def local_moment_factor(xis, q, e: int):
 
 # ---------------------------------------------------------------------------
 # level-two Euler data
+
+
+def euler_product_regularized_per_root(xis, q, pmax: int) -> dict:
+    """{zeta: truncated regularized product}, root by root: every degree-e
+    factor is evaluated and raised to its count once per root, 4 * pmax
+    powers where predictor.euler_product_regularized shares one per sign.
+
+    The in-place product fixes the operand order (running product first) at
+    every grid size; an `out = out * f ** count` would let numpy reuse the
+    temporary power above its 256 KiB elision threshold, and with it swap
+    the operands of a complex multiply that is not bitwise commutative.
+    """
+    out = {}
+    for zeta, a_sign in pr.ZETA_FOURTH.items():
+        prod = 1
+        for e in range(1, pmax + 1):
+            prod *= pr.regularized_local_factor(
+                xis, zeta, a_sign, q, e) ** irreducible_count(q, e)
+        out[zeta] = prod
+    return out
 
 
 def r_p_3(z1, z2, z3, q):

@@ -210,6 +210,7 @@ def test_criterion_09_residue_lemmas(rng):
 
 
 def test_criterion_10_q2_structure():
+    start = time.perf_counter()
     q, r = 5, 4
     euler = pr.EulerSpec(12)
     quad = pr.Q2_QUAD
@@ -264,7 +265,8 @@ def test_criterion_10_q2_structure():
     report(10, f"degree-7 fit residual {worst_fit:.2e} per root-of-unity class "
                f"(plain parity fit residuals {parity_resid[0]:.2e}/"
                f"{parity_resid[1]:.2e} reflect the period-4 mixing); fitted "
-               f"leading coefficients within {worst_lead:.2e} of the closed form")
+               f"leading coefficients within {worst_lead:.2e} of the closed form "
+               f"in {time.perf_counter() - start:.0f}s")
 
 
 def test_criterion_11_end_to_end_decay():

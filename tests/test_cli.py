@@ -81,6 +81,14 @@ def test_roots_jsonl():
     assert {"k", "height", "word"} <= set(rows[0])
 
 
+@pytest.mark.parametrize("level", ["3", "4"])
+def test_roots_above_level_two_is_one_error_line(level):
+    # no root is printed before the rejected one
+    p = run_cli("roots", "--r", "4", "--level", level)
+    assert_one_line_error(p)
+    assert f"not level {level}" in p.stderr
+
+
 # stdout of `cocycle gamma-table --q 5`, pinned byte for byte so that a change
 # in how K stores its elements cannot move a printed digit
 GAMMA_TABLE_GOLDEN = (

@@ -98,6 +98,12 @@ class TestWords:
                     twos = sum(1 for v in alpha.k[:r] if v == 2)
                     assert len(w) == 4 + twos
 
+    @pytest.mark.parametrize("level", [3, 4])
+    def test_levels_above_two_are_rejected(self, level):
+        for alpha in km.positive_real_roots_at_level(4, level):
+            with pytest.raises(ValueError, match="levels 1 and 2"):
+                km.reduction_word(alpha)
+
     def test_simple_root_detour(self):
         w = km.reduction_word(km.simple_root(2, 4))
         assert len(w) == 2

@@ -1,7 +1,9 @@
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qlmoments import predictor as pr
@@ -210,6 +212,52 @@ class TestRegularizedFactor:
             for j in range(i, 3):
                 want /= 1 - z[i] * z[j]
         assert abs(got - want) < 1e-14
+
+
+class TestRegularizedProduct:
+    @staticmethod
+    def slice_point(r: int, n: int, index: int = 3):
+        """The grid variables of one torus slice, by default off the real axis."""
+        _, zs, _ = next(itertools.islice(pr._torus(r, n, 0.05), index, None))
+        return zs
+
+    # r = 4, n = 32 puts each factor (512 KiB) above numpy's 256 KiB elision size
+    @pytest.mark.parametrize("q", [5, 13])
+    @pytest.mark.parametrize("r,n", [(4, 16), (4, 32), (5, 8)])
+    @pytest.mark.parametrize("pmax", [6, 12])
+    def test_bit_identical_to_per_root_product(self, q, r, n, pmax):
+        zs = self.slice_point(r, n)
+        got = pr.euler_product_regularized(zs, q, pmax)
+        want = oracles.euler_product_regularized_per_root(zs, q, pmax)
+        assert list(got) == list(pr.ZETA_FOURTH)
+        for zeta in pr.ZETA_FOURTH:
+            assert np.array_equal(got[zeta], want[zeta])
+
+    def test_same_non_finite_pattern_past_overflow(self):
+        zs = self.slice_point(4, 8, index=1)  # part finite, part inf/nan
+        with np.errstate(all="ignore"):
+            got = pr.euler_product_regularized(zs, Q, 28)
+            want = oracles.euler_product_regularized_per_root(zs, Q, 28)
+        finite = [np.isfinite(v) for v in want.values()]
+        assert all(f.any() and not f.all() for f in finite)
+        for zeta in pr.ZETA_FOURTH:
+            assert np.array_equal(got[zeta], want[zeta], equal_nan=True)
+
+    @pytest.mark.parametrize("pmax", [6, 12, 16])
+    def test_each_factor_once_per_degree_and_sign(self, monkeypatch, pmax):
+        calls = {"_shared_factor": 0, "_root_factor": 0}
+        for name in calls:
+            def counted(*args, real=getattr(pr, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(pr, name, counted)
+        pr.euler_product_regularized(self.slice_point(4, 4), Q, pmax)
+        # two signs sgn(a)^e at odd e, one at even e; sharing by zeta^e alone
+        # would leave 4 at odd e, 2 at e = 2 mod 4 and 1 at e = 0 mod 4
+        distinct = 2 * ((pmax + 1) // 2) + pmax // 2
+        assert calls == {"_shared_factor": pmax, "_root_factor": distinct}
+        if pmax == 12:
+            assert distinct == 18
 
 
 class TestClosedSeries:
