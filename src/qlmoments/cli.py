@@ -17,28 +17,18 @@ import numpy as np
 
 from . import cocycle, kacmoody, moments, predictor
 from .exactnum import KNum
-from .ffpoly import (BudgetExceededError, _divmod, _mul, _require_modulus,
-                     build_sieve, monic_from_index)
+from .ffpoly import (BudgetExceededError, _divmod, _mul, build_sieve,
+                     monic_from_index)
 
 VERIFY_NOTE = "normalization: unit auxiliary series assumed for r = 4"
 
 
-def check_moment_input(args, method: str = "reflect") -> None:
-    """The input checks moments and verify share: q, r, degrees, budget."""
-    _require_modulus(args.q)
-    if args.r < 1:
-        raise ValueError("need r >= 1")
-    if not 1 <= args.dmin <= args.dmax:
-        raise ValueError("need 1 <= dmin <= dmax")
-    for D in range(args.dmin, args.dmax + 1):
-        moments.check_budget(args.q, D, method)
-
-
 def cmd_moments(args) -> int:
-    check_moment_input(args, args.method)
+    degrees = range(args.dmin, args.dmax + 1)
+    moments.check_request(args.q, args.r, degrees, args.method)
     if args.format == "csv":
         print("q,r,D,moment_a,moment_b,moment_float,count,seconds")
-    for D in range(args.dmin, args.dmax + 1):
+    for D in degrees:
         res = moments.moment(args.q, args.r, D, method=args.method)
         if args.format == "csv":
             print(res.csv_row(with_timing=args.timing))
@@ -115,13 +105,12 @@ def cmd_cocycle_eval(args) -> int:
 
 def cmd_cocycle_gamma_table(args) -> int:
     q = args.q
-    names = {0: "zeta=1 sgn=+1", 1: "zeta=i sgn=-1",
-             2: "zeta=-1 sgn=+1", 3: "zeta=-i sgn=-1"}
+    names = {0: "1", 1: "i", 2: "-1", 3: "-i"}
     for k in (0, 2, 1, 3):
         val = cocycle.gamma_table_entry(k, q)
         coords = [[str(c[0]), str(c[1])] for c in val.coords]
         print(json.dumps({
-            "case": names[k],
+            "case": f"zeta={names[k]} sgn={cocycle.square_class_sign(k):+d}",
             "coords_1_q4_q2_q34": coords,
             "value": [val.embed().real, val.embed().imag],
         }, sort_keys=True))
@@ -134,11 +123,11 @@ def default_theta(n_terms: int) -> float:
 
 
 def cmd_verify(args) -> int:
-    check_moment_input(args)
+    degrees = list(range(args.dmin, args.dmax + 1))
+    moments.check_request(args.q, args.r, degrees, "reflect")
     theta = args.theta if args.theta is not None else default_theta(args.N)
     if not 1 / (args.N + 1) < theta < 1 / args.N:
         raise ValueError(f"theta must lie in (1/{args.N + 1}, 1/{args.N})")
-    degrees = list(range(args.dmin, args.dmax + 1))
     with np.errstate(all="ignore"):  # a non-finite result is reported below
         preds = predictor.moment_prediction(
             args.q, args.r, degrees, args.N, predictor.EulerSpec(pmax=args.pmax),

@@ -16,6 +16,11 @@ that type.
 Singular evaluation points (a vanishing base-matrix denominator along the
 chain) raise SingularPointError naming the offending letter; limits are
 never taken here - callers perturb their points instead.
+
+The residue at a root is read off the cocycle at one point, residue_point:
+the local factors at it, the exact archimedean factor (gamma_factor_exact)
+through mbar_matrix at q times it.  The root of unity zeta = i^k fixing its
+branch fixes the sign sgn(a) = zeta^2 (square_class_sign).
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
     "local_coefficient_row",
     "local_residue_factor",
     "residue_point",
+    "square_class_sign",
     "de_diagonals",
     "phi_weight",
     "psi_weight",
@@ -142,10 +148,11 @@ def b_inverse_matrix(one) -> Matrix:
 
 
 def _diag_entries(u, q, sqrt_q):
+    qu = q * u
     return (
-        -(1 - q * u) / (q * u * (1 - u)),
+        -(1 - qu) / (qu * (1 - u)),
         1 / (sqrt_q * u),
-        (1 + q * u) / (q * u * (1 + u)),
+        (1 + qu) / (qu * (1 + u)),
     )
 
 
@@ -187,73 +194,81 @@ def mbar_matrix(word: tuple[int, ...], z: tuple, q, sqrt_q, half) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# the scalar residue factor on the archimedean side
+# the residue point and the scalar residue factor on the archimedean side
 
 
-def gamma_factor_exact(word: tuple[int, ...], alpha: Root, a2_sign: int,
-                       a_sign: int, zeta: KNum, q: int,
-                       xi: tuple[KNum, ...] | None = None) -> KNum:
-    """Exact residue factor at the constrained point in K.
+def residue_point(alpha: Root, xi: tuple, zeta, q, sqrt_q, quarter_q) -> tuple:
+    """Coordinates (z_1..z_r, z_{r+1}) of the residue evaluation point.
 
-    The word must send alpha to the last simple root.  The evaluation point
-    is z_i = sqrt(q) xi_i^n for i <= r (xi defaults to all ones) and the
-    last coordinate is pinned by the root constraint:
-    z_{r+1} = zeta^{-1} q^{(n-1)/(2n)} prod xi_i^{-k_i}, n = level(alpha).
-    The factor is 2^len(word) times the sandwich
-    row (1, sgn(a2), 0) . M_w . column (1/2, sgn(a)/2, 1/2).
+    z_k = q^(-1/2) xi_k^n and the last coordinate solves the root
+    constraint with the explicit branch fixed by zeta:
+    z_{r+1} = zeta^(-1) q^(-(n+1)/(2n)) prod xi_i^(-k_i), n = level(alpha).
     """
     n = alpha.level
     if n not in (1, 2):
         raise ValueError("supported levels are 1 and 2")
     r = alpha.rank
-    one = KNum.one(q)
-    half = KNum.rational("1/2", q)
-    sq = KNum.sqrt_q(q)
-    if xi is None:
-        xi = tuple(one for _ in range(r))
-    z = [sq * (x**n) for x in xi]
-    tail = zeta.inv()
-    if n == 2:
-        tail = tail * KNum.root4(q, 1)
+    z = [xi[i] ** n / sqrt_q for i in range(r)]
+    if n == 1:
+        tail = 1 / (zeta * q)
+    else:
+        tail = 1 / (zeta * quarter_q**3)
     for x, k in zip(xi, alpha.k[:r]):
         if k:
-            tail = tail * x ** (-k)
+            tail = tail / x**k
     z.append(tail)
+    return tuple(z)
+
+
+def gamma_factor_exact(word: tuple[int, ...], alpha: Root, a2_sign: int,
+                       a_sign: int, zeta: KNum, q: int,
+                       xi: tuple[KNum, ...] | None = None) -> KNum:
+    """Exact residue factor at the residue point in K.
+
+    The word must send alpha to the last simple root.  The factor is
+    2^len(word) times the sandwich
+    row (1, sgn(a2), 0) . Mbar_w(z) . column (1/2, sgn(a)/2, 1/2)
+    at z = residue_point(alpha, xi, zeta), xi defaulting to all ones.
+    """
+    half = KNum.rational("1/2", q)
+    sq = KNum.sqrt_q(q)
     qk = KNum.rational(q, q)
-    matrix = cocycle_matrix(word, tuple(z), one / qk, one / sq, half)
+    if xi is None:
+        xi = (KNum.one(q),) * alpha.rank
+    z = residue_point(alpha, xi, zeta, qk, sq, KNum.root4(q, 1))
+    matrix = mbar_matrix(word, z, qk, sq, half)
     col = (half, a_sign * half, half)
-    # the third row of M_w . col is never read
+    # the third row of Mbar_w . col is never read
     row0, row1 = (m[0] * col[0] + m[1] * col[1] + m[2] * col[2]
                   for m in matrix[:2])
     return (2 ** len(word)) * (row0 + a2_sign * row1)
+
+
+def square_class_sign(zeta_power: int) -> int:
+    """sgn(a) = zeta^2 = (-1)^k for zeta = i^k: the square class of the
+    leading coefficient a that the fourth root of unity zeta belongs to."""
+    return -1 if zeta_power % 2 else 1
 
 
 def gamma_table_entry(zeta_power: int, q: int) -> KNum:
     """Exact value of (1,1,0) . Mbar_{w}(q^(-1/2),...,q^(-3/4) zeta^(-1); q) . (1,sgn,1)^t.
 
     Here w = w_1 w_2 w_3 w_{r+1} (evaluated at rank 3, where the value is
-    rank-independent), zeta = i^zeta_power, and sgn = zeta^2 in {+1, -1}.
+    rank-independent), zeta = i^zeta_power, and sgn = square_class_sign.
     The four cases zeta in {1, -1, i, -i} are the degree-two residue table.
     This is the level-two residue factor of alpha = (1, 1, 1, 2) at xi = 1,
     divided by 8 = 2^len(w) * 2 (the word's power of two and the halves of
     the sandwich column).
     """
     zeta = KNum.fourth_root_of_unity(q, zeta_power)
-    sgn = 1 if zeta_power % 2 == 0 else -1
-    return gamma_factor_exact((1, 2, 3, 4), Root((1, 1, 1, 2)), 1, sgn,
-                              zeta, q) / 8
+    return gamma_factor_exact((1, 2, 3, 4), Root((1, 1, 1, 2)), 1,
+                              square_class_sign(zeta_power), zeta, q) / 8
 
 
 def gamma_table_polynomial(zeta_power: int, q: int) -> KNum:
     """Expected closed form of the table entry as a polynomial in q^(1/4)."""
-    i_pow = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}[zeta_power % 4]
-
-    def g(re: int, im: int) -> KNum:
-        return KNum.gaussian(re, im, q)
-
-    iq = g(*i_pow)  # zeta itself
-    if zeta_power % 2 == 0:
-        sign = 1 if zeta_power % 4 == 0 else -1
+    if square_class_sign(zeta_power) == 1:
+        sign = 1 if zeta_power % 4 == 0 else -1  # zeta itself
         coeff = [1, sign * 1, 10, sign * 7, 20, sign * 7, 10, sign * 1, 1]
         out = KNum.zero(q)
         for k, c in enumerate(coeff):
@@ -273,29 +288,6 @@ def gamma_table_polynomial(zeta_power: int, q: int) -> KNum:
 
 # ---------------------------------------------------------------------------
 # local (per-irreducible) residue data
-
-
-def residue_point(alpha: Root, xi: tuple, zeta, q, sqrt_q, quarter_q) -> tuple:
-    """Coordinates (z_1..z_r, z_{r+1}) of the residue evaluation point.
-
-    z_k = q^(-1/2) xi_k^n and the last coordinate solves the root
-    constraint with the explicit branch fixed by zeta:
-    z_{r+1} = zeta^(-1) q^(-(n+1)/(2n)) prod xi_i^(-k_i).
-    """
-    n = alpha.level
-    if n not in (1, 2):
-        raise ValueError("supported levels are 1 and 2")
-    r = alpha.rank
-    z = [xi[i] ** n / sqrt_q for i in range(r)]
-    if n == 1:
-        tail = 1 / (zeta * q)
-    else:
-        tail = 1 / (zeta * quarter_q**3)
-    for x, k in zip(xi, alpha.k[:r]):
-        if k:
-            tail = tail / x**k
-    z.append(tail)
-    return tuple(z)
 
 
 def local_coefficient_row(word: tuple[int, ...], z: tuple, q, sqrt_q,

@@ -10,6 +10,10 @@ below is a GCD-style chain of such swaps.
 The character-sum sieve and the per-d reference routes of the moment oracle
 work on raw tuples and integer indices of monic polynomials (the oracle's
 numpy table route does not); :class:`FqPoly` wraps them for the public API.
+
+_require_modulus checks q by trial division on every call, with no cache:
+that costs a fraction of a microsecond at the moduli in use.  FactorSieve
+refuses any table above the fixed CELL_BUDGET before allocating it.
 """
 
 from __future__ import annotations
@@ -30,24 +34,16 @@ __all__ = [
     "irreducible_count",
 ]
 
-DEFAULT_CELL_BUDGET = 50_000_000
+#: Most cells a FactorSieve may hold (one per monic polynomial it covers).
+CELL_BUDGET = 50_000_000
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when a requested table or scan exceeds the configured budget."""
 
 
-_VALID_MODULI: set[int] = set()
-
-
 def _require_modulus(q: int) -> None:
-    """Raise ValueError unless q is a prime = 1 mod 4.
-
-    Each valid q is tested once, since the named constructors of K
-    (`KNum.rational`, `KNum.one`, ...) check the modulus on every call.
-    """
-    if q in _VALID_MODULI:
-        return
+    """Raise ValueError unless q is a prime = 1 mod 4 (trial division)."""
     if q < 5 or q % 4 != 1:
         raise ValueError(f"modulus must be an odd prime = 1 mod 4, got {q}")
     n = 3
@@ -55,7 +51,6 @@ def _require_modulus(q: int) -> None:
         if q % n == 0:
             raise ValueError(f"modulus must be prime, got {q}")
         n += 2
-    _VALID_MODULI.add(q)
 
 
 _SQUARES: dict[int, frozenset[int]] = {}
@@ -383,14 +378,14 @@ class FactorSieve:
     for irreducibles.  "Smallest" orders factors by (degree, index).
     """
 
-    def __init__(self, q: int, max_deg: int, cell_budget: int = DEFAULT_CELL_BUDGET):
+    def __init__(self, q: int, max_deg: int):
         _require_modulus(q)
         if max_deg < 1:
             raise ValueError("max_deg must be >= 1")
         cells = sum(q**n for n in range(1, max_deg + 1))
-        if cells > cell_budget:
+        if cells > CELL_BUDGET:
             raise BudgetExceededError(
-                f"sieve would need {cells} cells, budget is {cell_budget}"
+                f"sieve would need {cells} cells, budget is {CELL_BUDGET}"
             )
         self.q = q
         self.max_deg = max_deg

@@ -39,6 +39,7 @@ from .lfunc import _half_degree
 __all__ = [
     "MomentResult",
     "check_budget",
+    "check_request",
     "moment",
     "generating_series",
     "l_histogram",
@@ -48,7 +49,8 @@ __all__ = [
     "zeroth_moment_pair",
 ]
 
-DEFAULT_OP_BUDGET = 2 * 10**11
+#: Most symbol evaluations one degree may cost (see _estimated_ops).
+OP_BUDGET = 2 * 10**11
 
 METHODS = ("reflect", "sieve", "naive")
 
@@ -107,12 +109,23 @@ def _check_input(q: int, D: int, method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def check_budget(q: int, D: int, method: str = "reflect",
-                 op_budget: int = DEFAULT_OP_BUDGET) -> None:
-    """Raise BudgetExceededError if degree D would exceed op_budget."""
-    if (ops := _estimated_ops(q, D, method)) > op_budget:
+def check_budget(q: int, D: int, method: str = "reflect") -> None:
+    """Raise BudgetExceededError if degree D would exceed OP_BUDGET."""
+    if (ops := _estimated_ops(q, D, method)) > OP_BUDGET:
         raise BudgetExceededError(
-            f"D = {D}: estimated {ops} ops exceeds budget {op_budget}")
+            f"D = {D}: estimated {ops} ops exceeds budget {OP_BUDGET}")
+
+
+def check_request(q: int, r: int, degrees, method: str) -> None:
+    """Check a moment request before any degree is computed: r >= 1 and,
+    at every degree of a nonempty range, _check_input and the budget."""
+    if r < 1:
+        raise ValueError("need r >= 1")
+    if not degrees:
+        raise ValueError("need at least one degree")
+    for D in degrees:
+        _check_input(q, D, method)
+        check_budget(q, D, method)
 
 
 def _scaled_power(coeffs: tuple[int, ...], q: int, r: int) -> tuple[int, int]:
@@ -269,17 +282,13 @@ def l_histogram(q: int, D: int, method: str = "reflect"
     return hist
 
 
-def moment(q: int, r: int, D: int, method: str = "reflect",
-           op_budget: int = DEFAULT_OP_BUDGET) -> MomentResult:
+def moment(q: int, r: int, D: int, method: str = "reflect") -> MomentResult:
     """Exact moment of order r over monic squarefree d of degree D.
 
     The r-th power sum of L(1/2) over l_histogram(q, D, method), each
     distinct L-polynomial powered once and weighted by its number of d.
     """
-    _check_input(q, D, method)
-    if r < 1:
-        raise ValueError("need r >= 1")
-    check_budget(q, D, method, op_budget)
+    check_request(q, r, [D], method)
     start = time.perf_counter()
     su = sv = count = 0
     for coeffs, mult in l_histogram(q, D, method).items():

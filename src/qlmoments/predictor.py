@@ -36,7 +36,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .cocycle import de_diagonals, gamma_table_entry, mbar_closed
+from .cocycle import (de_diagonals, gamma_table_entry, mbar_closed,
+                      square_class_sign)
 from .exactnum import l_at_half_unit, zeta_at_half
 from .ffpoly import _require_modulus, irreducible_count
 
@@ -61,8 +62,15 @@ __all__ = [
     "vandermonde_core_integral",
 ]
 
-#: The fourth roots of unity zeta, each mapped to its sign sgn(a) = zeta^2.
-ZETA_FOURTH = {1 + 0j: 1, -1 + 0j: 1, 1j: -1, -1j: -1}
+#: The fourth roots of unity zeta = i^k, k = 0, 2, 1, 3, each mapped to its
+#: sign sgn(a) = zeta^2 (cocycle.square_class_sign).
+ZETA_FOURTH = {1j**k: square_class_sign(k) for k in (0, 2, 1, 3)}
+
+
+def _q2_rank_note(r: int) -> str:
+    """'' at the ranks whose prediction has the term Q2, else why not; r = 3
+    (the x^(3/4) term of Diaconu and Whitehead) is not admitted yet."""
+    return "" if r >= 4 else "outside the r >= 4 range of the moment prediction"
 
 
 @dataclass(frozen=True)
@@ -472,8 +480,7 @@ def q1_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
     val = value_at(quad)
     tail = level_one_tail_estimate(q, r, euler.pmax)
     delta = _refine_delta(val, value_at, quad, refine)
-    note = "" if r >= 4 else "outside the r >= 4 range of the moment prediction"
-    return Coefficient.of(q, r, D, val, tail, delta, note=note)
+    return Coefficient.of(q, r, D, val, tail, delta, note=_q2_rank_note(r))
 
 
 # ---------------------------------------------------------------------------
@@ -521,24 +528,27 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     """The two D-indexed contour integrals of the level-two machinery.
 
     Returns {D: {zeta: (first, second)}} for every fourth root of unity zeta,
-    in ZETA_FOURTH order; one grid pass serves all roots and degrees.
+    in ZETA_FOURTH order; one grid pass serves all roots and degrees.  Each
+    slice forms the root-independent kernel once and each damping power
+    once per degree, shared by the four roots.
     """
     _require_modulus(q)
-    if r < 4:
-        raise ValueError("the level-two coefficient needs r >= 4")
+    if note := _q2_rank_note(r):
+        raise ValueError(f"the level-two coefficient is {note}")
     degrees = _degrees(degrees)
     acc = {d: {zeta: [0j, 0j] for zeta in ZETA_FOURTH} for d in degrees}
     for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
         tailprod = _product(zs[3:])
         sregs = euler_product_regularized(zs, q, euler.pmax)
+        kern = _q2_kernel(zs, 3) * w_rest
+        cores = {}
         for zeta in ZETA_FOURTH:
             g1, g2 = secondary_weight_functions(zs, zeta, q)
-            # one expression per root: hoisting the kernel moved last bits on some hosts
-            kern = _q2_kernel(zs, 3) * w_rest * sregs[zeta]
-            core1 = g1 * kern
-            core2 = g2 * kern
-            for d in degrees:
-                damp = tailprod ** (-d)
+            root_kern = kern * sregs[zeta]
+            cores[zeta] = (g1 * root_kern, g2 * root_kern)
+        for d in degrees:
+            damp = tailprod ** (-d)
+            for zeta, (core1, core2) in cores.items():
                 acc[d][zeta][0] += w_i * (core1 * damp).sum()
                 acc[d][zeta][1] += w_i * (core2 * damp).sum()
     sign = _sign(r)
@@ -587,8 +597,8 @@ def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
     """
     if n_terms not in (1, 2):
         raise ValueError("the prediction has N = 1 or N = 2 terms")
-    if n_terms == 2 and r < 4:  # fail before the Q1 grid pass, not after
-        raise ValueError("the second term (N = 2) needs r >= 4")
+    if n_terms == 2 and (note := _q2_rank_note(r)):  # before the Q1 grid pass
+        raise ValueError(f"the second term (N = 2) is {note}")
     degrees = _degrees(degrees)
     q1 = q1_profile(q, r, degrees, euler, quad)
     preds = {D: q1[D].real * q**D for D in degrees}
@@ -620,8 +630,8 @@ def q2_leading_coefficient(q: int, r: int, euler: EulerSpec = EulerSpec()
     sum_k (i^k)^D * piece[k].
     """
     _require_modulus(q)
-    if r < 4:
-        raise ValueError("needs r >= 4")
+    if note := _q2_rank_note(r):
+        raise ValueError(f"the closed-form Q2 is {note}")
     front = float(Fraction(2) ** (19 - 7 * r) * _factorial_ratio(r))
     zeta_half_7 = zeta_at_half(q) ** 7
     l_half_7 = l_at_half_unit(q) ** 7
@@ -632,16 +642,12 @@ def q2_leading_coefficient(q: int, r: int, euler: EulerSpec = EulerSpec()
             eul[sgn] *= regularized_factor_value(
                 r, (sgn**e) * float(q) ** (-0.5 * e)) ** irreducible_count(q, e)
     out: dict[str, complex] = {}
-    pieces = []
     for k in range(4):
-        table = gamma_table_entry(k, q).embed()
-        sgn = 1 if k % 2 == 0 else -1
+        sgn = square_class_sign(k)
         arch = (zeta_half_7 if sgn == 1 else l_half_7).embed()
-        piece = front * table * arch * eul[sgn]
-        pieces.append(piece)
-        out[f"zeta^{k}"] = piece
-    out["even"] = pieces[0] + pieces[2]
-    out["odd"] = pieces[0] - pieces[2]
+        out[f"zeta^{k}"] = front * gamma_table_entry(k, q).embed() * arch * eul[sgn]
+    out["even"] = out["zeta^0"] + out["zeta^2"]
+    out["odd"] = out["zeta^0"] - out["zeta^2"]
     return out
 
 

@@ -84,6 +84,32 @@ def euler_product_regularized_per_root(xis, q, pmax: int) -> dict:
     return out
 
 
+def q2_term_profile_per_root(q: int, r: int, degrees, euler: pr.EulerSpec,
+                             quad: pr.QuadSpec) -> dict:
+    """predictor.q2_term_profile with every slice factor formed per root: the
+    kernel _q2_kernel(zs, 3) * w_rest once per root and each damping power
+    tailprod^(-D) once per (root, D), where the production loop forms the
+    kernel once per slice and each power once per (slice, D)."""
+    degrees = sorted(set(degrees))
+    acc = {d: {zeta: [0j, 0j] for zeta in pr.ZETA_FOURTH} for d in degrees}
+    for w_i, zs, w_rest in pr._torus(r, quad.n_points, quad.rho):
+        tailprod = pr._product(zs[3:])
+        sregs = pr.euler_product_regularized(zs, q, euler.pmax)
+        for zeta in pr.ZETA_FOURTH:
+            g1, g2 = pr.secondary_weight_functions(zs, zeta, q)
+            kern = pr._q2_kernel(zs, 3) * w_rest * sregs[zeta]
+            core1 = g1 * kern
+            core2 = g2 * kern
+            for d in degrees:
+                damp = tailprod ** (-d)
+                acc[d][zeta][0] += w_i * (core1 * damp).sum()
+                acc[d][zeta][1] += w_i * (core2 * damp).sum()
+    sign = pr._sign(r)
+    return {d: {zeta: (complex(sign * first), complex(sign * second))
+                for zeta, (first, second) in pieces.items()}
+            for d, pieces in acc.items()}
+
+
 def r_p_3(z1, z2, z3, q):
     """Local factor of the modified level-one residue in three variables."""
     out = 1 / (1 - q * (z1 * z2 * z3) ** 2)

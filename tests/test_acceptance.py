@@ -217,7 +217,9 @@ def test_criterion_10_q2_structure():
     degrees = list(range(20, 41))
     pieces = pr.q2_profile(q, r, degrees, euler, quad)
 
-    # degree-7 fit per class: each root-of-unity piece is a polynomial in D
+    # degree-7 fit per class: each root-of-unity piece is a polynomial in D.
+    # The sgn(a) = +1 pieces (zeta = +-1) are real, so their imaginary part
+    # is roundoff and is gated as a share of the real part, not fitted.
     def fit_resid(ys):
         ds = np.array(degrees, float)
         vand = np.vander(ds / 40.0, 8)
@@ -225,12 +227,19 @@ def test_criterion_10_q2_structure():
         return np.linalg.norm(ys - vand @ coef) / np.linalg.norm(ys)
 
     worst_fit = 0.0
-    for zeta in pr.ZETA_FOURTH:
+    worst_imag = 0.0
+    for zeta, a_sign in pr.ZETA_FOURTH.items():
         ys = np.array([pieces[D][zeta] for D in degrees])
         worst_fit = max(worst_fit, fit_resid(ys.real))
-        if np.linalg.norm(ys.imag) > 1e-12 * np.linalg.norm(ys.real):
+        if a_sign == 1:
+            worst_imag = max(worst_imag,
+                             np.linalg.norm(ys.imag) / np.linalg.norm(ys.real))
+        else:
             worst_fit = max(worst_fit, fit_resid(ys.imag))
-    assert worst_fit <= 1e-4
+    # measured on this grid (n = 64): fits 7.4e-16 to 2.5e-15, zeta = +-1
+    # imaginary shares 5.1e-11 and 6.4e-11; the gates leave ~40x and ~15x
+    assert worst_fit <= 1e-13
+    assert worst_imag <= 1e-9
 
     # diagnostic: the assembled coefficient mixes the classes with period-4
     # phases of comparable size, so a plain parity fit is structurally lossy
@@ -262,7 +271,8 @@ def test_criterion_10_q2_structure():
     rel_even = abs(fit_even - predicted["even"].real) / abs(predicted["even"].real)
     worst_lead = max(worst_lead, rel_even)
     assert worst_lead <= 0.01
-    report(10, f"degree-7 fit residual {worst_fit:.2e} per root-of-unity class "
+    report(10, f"degree-7 fit residual {worst_fit:.2e} per root-of-unity class, "
+               f"zeta = +-1 imaginary share {worst_imag:.2e} "
                f"(plain parity fit residuals {parity_resid[0]:.2e}/"
                f"{parity_resid[1]:.2e} reflect the period-4 mixing); fitted "
                f"leading coefficients within {worst_lead:.2e} of the closed form "

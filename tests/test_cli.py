@@ -113,6 +113,26 @@ def test_gamma_table_values():
     assert p.stdout == GAMMA_TABLE_GOLDEN
 
 
+# stdout of the README example `cocycle eval --word 1,2,4 --z 0.3,0.4,0.5,0.6
+# --q 5`, pinned byte for byte so that a change in how a base matrix is
+# formed cannot move a printed float
+COCYCLE_EVAL_GOLDEN = (
+    "[[1.1373260380642944, 0.0], [0.3858024691358024, 0.0], "
+    "[0.24056948235220957, 0.0]]\n"
+    "[[0.2374943874550108, 0.0], [1.1574074074074072, 0.0], "
+    "[0.1986296930582431, 0.0]]\n"
+    "[[0.2876402866657704, 0.0], [0.3858024691358024, 0.0], "
+    "[0.9512086759972491, 0.0]]\n"
+)
+
+
+def test_cocycle_eval_golden_stdout():
+    p = run_cli("cocycle", "eval", "--word", "1,2,4",
+                "--z", "0.3,0.4,0.5,0.6", "--q", "5")
+    assert p.returncode == 0
+    assert p.stdout == COCYCLE_EVAL_GOLDEN
+
+
 def test_cocycle_eval_diagonal():
     p = run_cli("cocycle", "eval", "--word", "1",
                 "--z", "0.3,0.4,0.5,0.6", "--q", "5")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qlmoments import cocycle as cc
+from qlmoments import kacmoody as km
 from qlmoments.exactnum import KNum
 from qlmoments.kacmoody import Root
 from conftest import random_k, random_k_point
@@ -166,6 +167,36 @@ class TestGamma:
                     scaled = half * prod1 + half * a * a2 * prod2
                     want = (2 ** len(word)) * scaled
                     assert got == want
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_level_two_off_unit_point_matches_floats(self, r):
+        # every level-two root at a random Gaussian-rational xi != 1, against
+        # the sandwich on complex floats at the embedded point
+        # z_i = sqrt(q) xi_i^2, z_{r+1} = zeta^(-1) q^(1/4) prod xi_i^(-k_i)
+        rng = random.Random(4049 + r)
+        sq = Q**0.5
+        worst = 0.0
+        for alpha in km.positive_real_roots_at_level(r, 2):
+            word = km.reduction_word(alpha)
+            xi = tuple(KNum.gaussian(Fraction(rng.randint(7, 13), 10),
+                                     Fraction(rng.randint(-2, 2), 10), Q)
+                       for _ in range(r))
+            assert any(x != KNum.one(Q) for x in xi)
+            k = rng.randrange(4)
+            a, a2 = cc.square_class_sign(k), rng.choice((1, -1))
+            got = cc.gamma_factor_exact(word, alpha, a2, a,
+                                        KNum.fourth_root_of_unity(Q, k), Q, xi)
+            xf = [x.embed() for x in xi]
+            last = Q**0.25 / 1j**k
+            for x, kx in zip(xf, alpha.k[:r]):
+                last = last * x ** (-kx)
+            z = tuple(sq * x * x for x in xf) + (last,)
+            m = cc.cocycle_matrix(word, z, 1 / Q, 1 / sq, 0.5)
+            col = (0.5, a * 0.5, 0.5)
+            row0, row1 = (sum(m[i][j] * col[j] for j in range(3)) for i in (0, 1))
+            want = 2 ** len(word) * (row0 + a2 * row1)
+            worst = max(worst, abs(got.embed() - want) / abs(want))
+        assert worst <= 1e-10
 
     def test_gamma_table_matches_closed_polynomials(self):
         for k in range(4):

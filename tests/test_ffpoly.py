@@ -152,8 +152,9 @@ class TestSieveAndEnumeration:
         assert sieve5.smallest_factor(p) == p
 
     def test_memory_guard(self):
+        # ~3.05e8 cells, above CELL_BUDGET = 5e7; raised before any allocation
         with pytest.raises(BudgetExceededError):
-            FactorSieve(5, 12, cell_budget=10_000)
+            FactorSieve(5, 12)
 
     def test_index_round_trip(self):
         q = 5

@@ -58,8 +58,9 @@ class TestOracleRoutes:
         assert abs(m.value - (float(m.a) + float(m.b) * 5**0.5)) < 1e-12 * abs(m.value)
 
     def test_budget_guard(self):
+        # 5^17 ~ 7.6e11 symbol evaluations, above OP_BUDGET = 2e11
         with pytest.raises(BudgetExceededError):
-            moments.moment(5, 2, 9, method="naive", op_budget=10**6)
+            moments.moment(5, 2, 9, method="naive")
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -83,7 +84,7 @@ class TestOracleRoutes:
 
     @pytest.mark.parametrize("q, d_max", [(5, 11), (13, 7), (17, 6)])
     def test_default_budget_boundary(self, q, d_max):
-        budget = moments.DEFAULT_OP_BUDGET
+        budget = moments.OP_BUDGET
         assert moments._estimated_ops(q, d_max, "reflect") <= budget
         assert moments._estimated_ops(q, d_max + 1, "reflect") > budget
         moments.check_budget(q, d_max)

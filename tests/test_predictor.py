@@ -388,8 +388,19 @@ class TestQ1:
 
 class TestQ2:
     def test_rank_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="r >= 4"):
             pr.q2_coefficient(Q, 3, 5)
+        with pytest.raises(ValueError, match="r >= 4"):
+            pr.q2_leading_coefficient(Q, 3)
+
+    # n = 32 slices (32^3 complex, 512 KiB) exceed numpy's 256 KiB
+    # temporary-elision size, where naming a temporary can move last bits
+    @pytest.mark.parametrize("n, degrees", [(16, [6, 20, 30, 40]), (32, [6, 20])])
+    def test_slice_factors_once_match_the_per_root_loop(self, n, degrees):
+        euler, quad = pr.EulerSpec(12), pr.QuadSpec(0.05, n)
+        got = pr.q2_term_profile(Q, 4, degrees, euler, quad)
+        want = oracles.q2_term_profile_per_root(Q, 4, degrees, euler, quad)
+        assert repr(got) == repr(want)
 
     def test_value_reality_and_refinement(self):
         res = pr.q2_coefficient(Q, 4, 6, pr.EulerSpec(8), pr.QuadSpec(0.1, 32),
