@@ -208,15 +208,15 @@ def residue_point(alpha: Root, xi: tuple, zeta, q, sqrt_q, quarter_q) -> tuple:
     if n not in (1, 2):
         raise ValueError("supported levels are 1 and 2")
     r = alpha.rank
-    z = [xi[i] ** n / sqrt_q for i in range(r)]
-    if n == 1:
-        tail = 1 / (zeta * q)
-    else:
-        tail = 1 / (zeta * quarter_q**3)
+    inv_sqrt_q = 1 / sqrt_q
+    z = [xi[i] ** n * inv_sqrt_q for i in range(r)]
+    # invert the product once, not each factor: in K an inversion costs
+    # several products
+    den = zeta * (q if n == 1 else quarter_q**3)
     for x, k in zip(xi, alpha.k[:r]):
         if k:
-            tail = tail / x**k
-    z.append(tail)
+            den = den * x**k
+    z.append(1 / den)
     return tuple(z)
 
 

@@ -10,6 +10,8 @@ below is a GCD-style chain of such swaps.
 The character-sum sieve and the per-d reference routes of the moment oracle
 work on raw tuples and integer indices of monic polynomials (the oracle's
 numpy table route does not); :class:`FqPoly` wraps them for the public API.
+The module keeps what a moment computation runs: tuple arithmetic, the
+squarefree test, the symbol, monic indexing and the factor sieve.
 
 _require_modulus checks q by trial division on every call, with no cache:
 that costs a fraction of a microsecond at the moduli in use.  FactorSieve
@@ -19,16 +21,13 @@ refuses any table above the fixed CELL_BUDGET before allocating it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "FqPoly",
     "FactorSieve",
     "BudgetExceededError",
-    "quadratic_symbol",
-    "moebius",
     "build_sieve",
-    "enumerate_monic",
     "monic_from_index",
     "index_of_monic",
     "irreducible_count",
@@ -69,14 +68,6 @@ def unit_sign(b: int, q: int) -> int:
     if b % q == 0:
         raise ValueError("unit_sign of zero")
     return 1 if b % q in _squares(q) else -1
-
-
-def smallest_nonsquare(q: int) -> int:
-    sq = _squares(q)
-    for b in range(2, q):
-        if b not in sq:
-            return b
-    raise AssertionError("no non-square found")
 
 
 # ---------------------------------------------------------------------------
@@ -324,53 +315,6 @@ class FqPoly:
         return f"FqPoly({' + '.join(terms)}; q={self.q})"
 
 
-def quadratic_symbol(d: FqPoly, m: FqPoly) -> int:
-    """Jacobi-style quadratic symbol (d/m) in {-1, 0, +1}; m must be monic.
-
-    (d/1) = 1; for constant units (b/m) = unit_sign(b)^deg(m); the result is
-    0 exactly when gcd(d, m) is non-constant.
-    """
-    if d.q != m.q:
-        raise ValueError("mixed moduli")
-    if not m.is_monic:
-        raise ValueError("m must be monic")
-    return symbol_raw(d.coeffs, m.coeffs, d.q)
-
-
-def moebius(h: FqPoly, sieve: Optional["FactorSieve"] = None) -> int:
-    """(-1)^(number of distinct irreducible factors) if h squarefree, else 0."""
-    if h.is_zero:
-        raise ValueError("moebius of zero polynomial")
-    if not h.is_monic:
-        raise ValueError("h must be monic")
-    q = h.q
-    c = h.coeffs
-    count = 0
-    while len(c) > 1:
-        p = None
-        if sieve is not None and len(c) - 1 <= sieve.max_deg:
-            p = sieve.smallest_factor_raw(c)
-        else:
-            p = _smallest_factor_trial(c, q)
-        quo, rem = _divmod(c, p, q)
-        assert not rem
-        if _mod(quo, p, q) == ():
-            return 0
-        count += 1
-        c = quo
-    return -1 if count % 2 else 1
-
-
-def _smallest_factor_trial(c: tuple[int, ...], q: int) -> tuple[int, ...]:
-    deg = len(c) - 1
-    for e in range(1, deg // 2 + 1):
-        for idx in range(q**e):
-            p = monic_from_index(q, e, idx)
-            if not _mod(c, p, q):
-                return p
-    return c  # irreducible
-
-
 class FactorSieve:
     """Smallest-irreducible-factor table for all monic polynomials of degree <= max_deg.
 
@@ -430,12 +374,6 @@ class FactorSieve:
         e, p_idx, _, _ = ent
         return self._irr_tuples[e][p_idx]
 
-    def smallest_factor(self, m: FqPoly) -> FqPoly:
-        """Smallest monic irreducible factor; irreducibles map to themselves."""
-        if not m.is_monic:
-            raise ValueError("m must be monic")
-        return FqPoly(self.smallest_factor_raw(m.coeffs), self.q)
-
     def factor_pointers(self, deg: int) -> list:
         """Raw pointer table for one degree (None marks an irreducible)."""
         return self.table[deg]
@@ -443,22 +381,3 @@ class FactorSieve:
 
 def build_sieve(q: int, max_deg: int) -> FactorSieve:
     return FactorSieve(q, max_deg)
-
-
-def enumerate_monic(q: int, deg: int, kind: str = "all") -> Iterator[FqPoly]:
-    """Enumerate monic polynomials of exact degree in deterministic index order.
-
-    kind is one of "all", "squarefree", "irreducible".
-    """
-    _require_modulus(q)
-    if kind not in ("all", "squarefree", "irreducible"):
-        raise ValueError(f"unknown enumeration kind {kind!r}")
-    if kind == "irreducible" and deg >= 2:
-        for c in FactorSieve(q, deg).irreducibles(deg):
-            yield FqPoly(c, q)
-        return
-    for idx in range(q**deg):
-        c = monic_from_index(q, deg, idx)
-        if kind == "squarefree" and not _is_squarefree(c, q):
-            continue
-        yield FqPoly(c, q)

@@ -11,44 +11,16 @@ d of a degree at once, and recovers the rest exactly from the functional
 equation (_reflect_coefficients); every division it performs must be
 exact in the integers, which is asserted.  The straight sieve route here
 is the per-d reference and the two are cross-checked in the test suite.
+The central value enters the moments only as the integer pair
+_central_pair; this module needs nothing beyond ffpoly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from . import ffpoly
-from .exactnum import KNum, zeta_at_half, l_at_half_unit
 from .ffpoly import FactorSieve, FqPoly
 
-__all__ = [
-    "LPolynomial",
-    "l_polynomial",
-    "character_row_sums",
-    "l_coefficients",
-    "l_at_half",
-    "l_at_half_pair",
-    "l_eval",
-    "gamma_q",
-    "functional_equation_residual",
-]
-
-
-@dataclass(frozen=True)
-class LPolynomial:
-    """Coefficients of L(s, chi_d) as a polynomial in q^(-s)."""
-
-    d: FqPoly
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[0] != 1:
-            raise ValueError("constant coefficient must be 1")
-        q = self.d.q
-        for n, a in enumerate(self.coeffs):
-            if abs(a) > q**n:
-                raise ValueError("coefficient exceeds trivial bound")
+__all__ = ["character_row_sums", "l_coefficients"]
 
 
 def _check_d(d: FqPoly) -> None:
@@ -130,10 +102,6 @@ def l_coefficients(d: FqPoly, sieve: FactorSieve | None = None) -> list[int]:
     return character_row_sums(d, d.degree - 1, sieve)
 
 
-def l_polynomial(d: FqPoly, sieve: FactorSieve | None = None) -> LPolynomial:
-    return LPolynomial(d, tuple(l_coefficients(d, sieve)))
-
-
 def _central_pair(coeffs: list[int], q: int) -> tuple[int, int]:
     """(u, v) with q^m L(1/2) = u + v sqrt(q), m = len(coeffs) // 2.
 
@@ -147,63 +115,3 @@ def _central_pair(coeffs: list[int], q: int) -> tuple[int, int]:
         else:
             v += c * q ** (m - (n + 1) // 2)
     return u, v
-
-
-def l_at_half_pair(d: FqPoly, sieve: FactorSieve | None = None
-                   ) -> tuple[Fraction, Fraction]:
-    """L(1/2, chi_d) = a + b*sqrt(q) with exact rational a, b."""
-    q = d.q
-    if d.degree == 0:
-        # 1/(1 -+ sqrt(q))
-        return (zeta_at_half(q) if d.sign() == 1 else l_at_half_unit(q)).sqrt_pair()
-    coeffs = l_coefficients(d, sieve)
-    u, v = _central_pair(coeffs, q)
-    den = q ** (len(coeffs) // 2)
-    return Fraction(u, den), Fraction(v, den)
-
-
-def l_at_half(d: FqPoly, sieve: FactorSieve | None = None) -> KNum:
-    """Exact L(1/2, chi_d) as an element of Q(sqrt q) inside K."""
-    return KNum.from_sqrt_pair(*l_at_half_pair(d, sieve), d.q)
-
-
-def l_eval(d: FqPoly, s: complex, sieve: FactorSieve | None = None,
-           coeffs: list[int] | None = None) -> complex:
-    """L(s, chi_d) for complex s (closed forms for constant d)."""
-    q = d.q
-    if d.degree == 0:
-        sgn = d.sign()
-        return 1 / (1 - sgn * q ** (1 - s))
-    if coeffs is None:
-        coeffs = l_coefficients(d, sieve)
-    u = q ** (-s)
-    out = 0j
-    for c in reversed(coeffs):
-        out = out * u + c
-    return out
-
-
-def gamma_q(q: int, s: complex, d: FqPoly) -> complex:
-    """The epsilon-factor of the functional equation at s for the character of d."""
-    parity = (-1) ** d.degree
-    sgn = d.sign()
-    out = q ** (0.5 * (3 + parity) * (s - 0.5))
-    if parity == 1:  # even degree
-        out *= (1 - sgn * q ** (-s)) / (1 - sgn * q ** (s - 1))
-    return out
-
-
-def functional_equation_residual(d: FqPoly, s: complex,
-                                 sieve: FactorSieve | None = None,
-                                 coeffs: list[int] | None = None) -> complex:
-    """L(s) - gamma_q(s, d) |d|^(1/2 - s) L(1-s); vanishes for valid inputs."""
-    _check_d(d)
-    if d.degree == 0:
-        raise ValueError("d must be non-constant")
-    q = d.q
-    if coeffs is None:
-        coeffs = l_coefficients(d, sieve)
-    left = l_eval(d, s, coeffs=coeffs)
-    right = gamma_q(q, s, d) * q ** (d.degree * (0.5 - s)) * l_eval(
-        d, 1 - s, coeffs=coeffs)
-    return left - right

@@ -32,7 +32,6 @@ from math import prod
 import numpy as np
 
 from . import ffpoly, lfunc
-from .exactnum import zeta_at_half
 from .ffpoly import BudgetExceededError, FqPoly
 from .lfunc import _half_degree
 
@@ -41,12 +40,10 @@ __all__ = [
     "check_budget",
     "check_request",
     "moment",
-    "generating_series",
     "l_histogram",
     "low_half_histogram",
     "residual_table",
     "squarefree_count",
-    "zeroth_moment_pair",
 ]
 
 #: Most symbol evaluations one degree may cost (see _estimated_ops).
@@ -303,20 +300,6 @@ def moment(q: int, r: int, D: int, method: str = "reflect") -> MomentResult:
         a=Fraction(su, den), b=Fraction(sv, den),
         count=count, seconds=time.perf_counter() - start, method=method,
     )
-
-
-def zeroth_moment_pair(q: int, r: int) -> tuple[Fraction, Fraction]:
-    """Exact (1 - sqrt q)^(-r) = a + b sqrt(q): the degree-zero term d = 1."""
-    return (zeta_at_half(q) ** r).sqrt_pair()
-
-
-def generating_series(q: int, r: int, d_max: int, xi: complex) -> complex:
-    """Partial sum over degrees 0..d_max of the moment generating function at xi."""
-    a0, b0 = zeroth_moment_pair(q, r)
-    out = complex(float(a0) + float(b0) * q**0.5)
-    for D in range(1, d_max + 1):
-        out += moment(q, r, D).value * xi**D
-    return out
 
 
 @dataclass(frozen=True)

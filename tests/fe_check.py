@@ -7,6 +7,8 @@ import random
 from qlmoments import ffpoly, lfunc
 from qlmoments.ffpoly import FqPoly, monic_from_index
 
+import oracles
+
 _SIEVES: dict[int, ffpoly.FactorSieve] = {}
 
 
@@ -27,7 +29,7 @@ def fe_chunk_worst(q: int, deg: int, start: int, stop: int,
         cl = lfunc.l_coefficients(d, sieve)
         for _ in range(samples):
             s = complex(rng.uniform(-1, 2), rng.uniform(-3, 3))
-            resid = lfunc.functional_equation_residual(d, s, coeffs=cl)
-            scale = 1 + abs(lfunc.l_eval(d, s, coeffs=cl))
+            resid = oracles.functional_equation_residual(d, s, coeffs=cl)
+            scale = 1 + abs(oracles.l_eval(d, s, coeffs=cl))
             worst = max(worst, abs(resid) / scale)
     return worst

@@ -3,7 +3,9 @@
 Nothing in qlmoments imports this module.  The residue-lemma sums are
 computed exactly; their contour sides integrate the production kernels
 predictor._q1_kernel and predictor._q2_kernel, so the lemma tests check
-the integrands the predictions use.
+the integrands the predictions use.  The central values L(1/2, chi_d) are
+summed in K term by term, apart from the integer pair the moment oracle
+powers.
 """
 
 from __future__ import annotations
@@ -11,9 +13,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
+from qlmoments import lfunc
 from qlmoments import predictor as pr
-from qlmoments.ffpoly import _mod, _mul, irreducible_count
+from qlmoments.exactnum import KNum, l_at_half_unit, zeta_at_half
+from qlmoments.ffpoly import (FactorSieve, FqPoly, _is_squarefree, _mod, _mul,
+                              _require_modulus, irreducible_count,
+                              monic_from_index, symbol_raw)
 
 # ---------------------------------------------------------------------------
 # level-one Euler data
@@ -325,7 +332,7 @@ def permuted_kernel_integral(h, a: list[complex], m: int, rho: float,
 
 
 # ---------------------------------------------------------------------------
-# quadratic symbol
+# quadratic symbol and monic enumeration
 
 
 def symbol_euler(d: tuple[int, ...], p: tuple[int, ...], q: int) -> int:
@@ -346,3 +353,102 @@ def symbol_euler(d: tuple[int, ...], p: tuple[int, ...], q: int) -> int:
     if acc == ((q - 1),):
         return -1
     raise ArithmeticError("euler criterion did not yield +-1; p not irreducible?")
+
+
+def quadratic_symbol(d: FqPoly, m: FqPoly) -> int:
+    """Jacobi-style quadratic symbol (d/m) in {-1, 0, +1}; m must be monic.
+
+    (d/1) = 1; for constant units (b/m) = unit_sign(b)^deg(m); the result is
+    0 exactly when gcd(d, m) is non-constant.
+    """
+    if d.q != m.q:
+        raise ValueError("mixed moduli")
+    if not m.is_monic:
+        raise ValueError("m must be monic")
+    return symbol_raw(d.coeffs, m.coeffs, d.q)
+
+
+def enumerate_monic(q: int, deg: int, kind: str = "all") -> Iterator[FqPoly]:
+    """Enumerate monic polynomials of exact degree in deterministic index order.
+
+    kind is one of "all", "squarefree", "irreducible".
+    """
+    _require_modulus(q)
+    if kind not in ("all", "squarefree", "irreducible"):
+        raise ValueError(f"unknown enumeration kind {kind!r}")
+    if kind == "irreducible" and deg >= 2:
+        for c in FactorSieve(q, deg).irreducibles(deg):
+            yield FqPoly(c, q)
+        return
+    for idx in range(q**deg):
+        c = monic_from_index(q, deg, idx)
+        if kind == "squarefree" and not _is_squarefree(c, q):
+            continue
+        yield FqPoly(c, q)
+
+
+# ---------------------------------------------------------------------------
+# central values and the functional equation
+
+
+def l_at_half(d: FqPoly, sieve: FactorSieve | None = None) -> KNum:
+    """Exact L(1/2, chi_d) in K, as sum_n a_n t^(-2n) with t = q^(1/4).
+
+    Each q^(-n/2) is the monomial KNum.root4(q, -2n) and the sum is taken
+    in K, so no step is shared with the moment oracle's lfunc._central_pair.
+    """
+    q = d.q
+    if d.degree == 0:
+        # 1/(1 -+ sqrt(q))
+        return zeta_at_half(q) if d.sign() == 1 else l_at_half_unit(q)
+    return sum((a * KNum.root4(q, -2 * n)
+                for n, a in enumerate(lfunc.l_coefficients(d, sieve))),
+               KNum.zero(q))
+
+
+def l_at_half_pair(d: FqPoly, sieve: FactorSieve | None = None
+                   ) -> tuple[Fraction, Fraction]:
+    """L(1/2, chi_d) = a + b*sqrt(q) with exact rational a, b."""
+    return l_at_half(d, sieve).sqrt_pair()
+
+
+def l_eval(d: FqPoly, s: complex, sieve: FactorSieve | None = None,
+           coeffs: list[int] | None = None) -> complex:
+    """L(s, chi_d) for complex s (closed forms for constant d)."""
+    q = d.q
+    if d.degree == 0:
+        sgn = d.sign()
+        return 1 / (1 - sgn * q ** (1 - s))
+    if coeffs is None:
+        coeffs = lfunc.l_coefficients(d, sieve)
+    u = q ** (-s)
+    out = 0j
+    for c in reversed(coeffs):
+        out = out * u + c
+    return out
+
+
+def gamma_q(q: int, s: complex, d: FqPoly) -> complex:
+    """The epsilon-factor of the functional equation at s for the character of d."""
+    parity = (-1) ** d.degree
+    sgn = d.sign()
+    out = q ** (0.5 * (3 + parity) * (s - 0.5))
+    if parity == 1:  # even degree
+        out *= (1 - sgn * q ** (-s)) / (1 - sgn * q ** (s - 1))
+    return out
+
+
+def functional_equation_residual(d: FqPoly, s: complex,
+                                 sieve: FactorSieve | None = None,
+                                 coeffs: list[int] | None = None) -> complex:
+    """L(s) - gamma_q(s, d) |d|^(1/2 - s) L(1-s); vanishes for valid inputs."""
+    lfunc._check_d(d)
+    if d.degree == 0:
+        raise ValueError("d must be non-constant")
+    q = d.q
+    if coeffs is None:
+        coeffs = lfunc.l_coefficients(d, sieve)
+    left = l_eval(d, s, coeffs=coeffs)
+    right = gamma_q(q, s, d) * q ** (d.degree * (0.5 - s)) * l_eval(
+        d, 1 - s, coeffs=coeffs)
+    return left - right

@@ -6,15 +6,13 @@ from qlmoments.ffpoly import (
     BudgetExceededError,
     FactorSieve,
     FqPoly,
-    enumerate_monic,
     index_of_monic,
     irreducible_count,
-    moebius,
     monic_from_index,
-    quadratic_symbol,
 )
 
 import oracles
+from oracles import enumerate_monic, quadratic_symbol
 
 
 def poly(coeffs, q=5):
@@ -98,25 +96,6 @@ class TestSymbol:
         assert lhs == ffpoly.symbol_raw(d1, m1, q) * ffpoly.symbol_raw(d1, m2, q)
 
 
-class TestMoebius:
-    def test_unit(self):
-        assert moebius(poly([1])) == 1
-
-    def test_two_distinct_factors(self, sieve5):
-        h = poly([0, 1]) * poly([1, 1])
-        assert moebius(h, sieve5) == 1
-
-    def test_square_vanishes(self, sieve5):
-        assert moebius(poly([0, 0, 1]), sieve5) == 0
-
-    def test_irreducible(self, sieve5):
-        assert moebius(poly([2, 0, 1]), sieve5) == -1
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            moebius(FqPoly((), 5))
-
-
 class TestSieveAndEnumeration:
     def test_counts(self):
         assert sum(1 for _ in enumerate_monic(5, 1, "irreducible")) == 5
@@ -148,8 +127,8 @@ class TestSieveAndEnumeration:
                 assert rebuilt == c
 
     def test_irreducibles_map_to_themselves(self, sieve5):
-        p = FqPoly(sieve5.irreducibles(3)[7], 5)
-        assert sieve5.smallest_factor(p) == p
+        p = sieve5.irreducibles(3)[7]
+        assert sieve5.smallest_factor_raw(p) == p
 
     def test_memory_guard(self):
         # ~3.05e8 cells, above CELL_BUDGET = 5e7; raised before any allocation
@@ -167,11 +146,6 @@ class TestPolyType:
     def test_sign(self):
         assert poly([0, 1]).sign() == 1
         assert poly([0, 2]).sign() == -1  # 2 is a non-square mod 5
-
-    def test_smallest_nonsquare(self):
-        assert ffpoly.smallest_nonsquare(5) == 2
-        assert ffpoly.smallest_nonsquare(13) == 2
-        assert ffpoly.smallest_nonsquare(17) == 3
 
     def test_squarefree(self):
         assert poly([2, 0, 1]).is_squarefree()

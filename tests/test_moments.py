@@ -1,7 +1,9 @@
+import ast
 import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -45,9 +47,10 @@ class TestOracleRoutes:
     @pytest.mark.parametrize("D", [1, 2, 3, 4])
     def test_power_matches_sum_of_powers_in_k(self, D, sieve5):
         # every route takes its exact power through _scaled_power; here the
-        # r-th powers of the central values are taken and summed in K instead
-        values = [lfunc.l_at_half(d, sieve5)
-                  for d in ffpoly.enumerate_monic(5, D, "squarefree")]
+        # central values are summed in K term by term (oracles.l_at_half)
+        # and their r-th powers taken and summed in K
+        values = [oracles.l_at_half(d, sieve5)
+                  for d in oracles.enumerate_monic(5, D, "squarefree")]
         for r in range(1, 5):
             m = moments.moment(5, r, D)
             total = sum((v**r for v in values), KNum.zero(5))
@@ -163,17 +166,6 @@ class TestTableRoute:
 
 
 class TestSeriesAndResiduals:
-    def test_zeroth_term(self):
-        a, b = moments.zeroth_moment_pair(5, 1)
-        assert (a, b) == (Fraction(-1, 4), Fraction(-1, 4))
-
-    def test_generating_series_linear_coefficient(self):
-        # the degree-one coefficient is M_r(1) = q
-        xi = 0.01
-        with_d1 = moments.generating_series(5, 4, 1, xi)
-        without = moments.generating_series(5, 4, 0, xi)
-        assert abs((with_d1 - without) / xi - 5) < 1e-9
-
     def test_residual_table_with_and_without_predictions(self):
         rows = moments.residual_table(5, 2, [1, 2], None, theta=0.45)
         assert rows[0].prediction == 0.0
@@ -189,3 +181,27 @@ class TestSeriesAndResiduals:
         assert row.split(",")[:3] == ["5", "2", "2"]
         assert row.endswith("0.000")
         assert len(row.split(",")) == 8
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The qlmoments modules a source file imports, relative or absolute."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "qlmoments":
+                    continue
+                parts = parts[1:]
+            out |= {parts[0]} if parts and parts[0] else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names
+                    if a.name.startswith("qlmoments.")}
+    return out
+
+
+@pytest.mark.parametrize("module", ["ffpoly", "lfunc", "moments"])
+def test_oracle_imports_only_ffpoly_and_lfunc(module):
+    # the exact oracle stands alone: no K arithmetic, no predictor
+    path = Path(moments.__file__).with_name(f"{module}.py")
+    assert _package_imports(path) <= {"ffpoly", "lfunc"}
