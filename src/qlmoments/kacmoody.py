@@ -32,6 +32,9 @@ __all__ = [
     "WstarReport",
 ]
 
+#: Most roots one enumeration may collect; level one alone has 2^r roots.
+ROOT_BUDGET = 10_000
+
 
 @dataclass(frozen=True)
 class Root:
@@ -112,6 +115,7 @@ def positive_real_roots_up_to_height(r: int, max_height: int,
     simple root.  Any positive real root admits a height-descending chain
     of reflections through positive roots reaching a simple root, and a
     descent step never raises the level, so the bounded search is complete.
+    Raises ValueError once more than ROOT_BUDGET roots are found.
     """
     if r < 1:
         raise ValueError("rank parameter must be >= 1")
@@ -133,6 +137,9 @@ def positive_real_roots_up_to_height(r: int, max_height: int,
                 seen.add(beta.k)
                 nxt.append(beta)
                 out.append(beta)
+                if len(out) > ROOT_BUDGET:
+                    raise ValueError(f"more than {ROOT_BUDGET} positive real "
+                                     f"roots at r = {r}, height <= {max_height}")
         frontier = nxt
     out.sort(key=lambda a: (a.height, a.k))
     return out

@@ -66,7 +66,6 @@ class MomentResult:
     b: Fraction
     count: int  # number of squarefree d summed
     seconds: float
-    method: str
 
     @property
     def value(self) -> float:
@@ -298,7 +297,7 @@ def moment(q: int, r: int, D: int, method: str = "reflect") -> MomentResult:
     return MomentResult(
         q=q, r=r, D=D,
         a=Fraction(su, den), b=Fraction(sv, den),
-        count=count, seconds=time.perf_counter() - start, method=method,
+        count=count, seconds=time.perf_counter() - start,
     )
 
 

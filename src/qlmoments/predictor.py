@@ -12,19 +12,19 @@ Two pipelines are implemented on top of the cocycle module:
   Vandermonde kernel in one r-fold contour pass for all four fourth roots
   of unity zeta (each fixes its sign sgn(a) = zeta^2, see ZETA_FOURTH).
 
-Euler products are truncated at a degree cutoff; each truncation carries a
-reported tail estimate.  The level-two product serves all four roots at
-once: a degree-e factor depends on zeta only through sgn(a)^e, so it is
-evaluated once per (e, sgn(a)^e), 18 of 48 at pmax = 12, with its
-zeta-independent half once per degree.  All contour quadrature is the
-trapezoid rule on circles (spectrally accurate for these analytic
-integrands), and every r-fold integral walks the one grid generator
-_torus, for every r >= 1.
+Euler products are truncated at a degree cutoff pmax and also return their
+running value at pmax // 2, so one grid walk gives both cutoffs.  The
+level-two product serves all four roots at once: a degree-e factor depends
+on zeta only through sgn(a)^e, so it is evaluated once per (e, sgn(a)^e),
+18 of 48 at pmax = 12, with its zeta-independent half once per degree.
+All contour quadrature is the trapezoid rule on circles (spectrally
+accurate for these analytic integrands), and every r-fold integral walks
+the one grid generator _torus, for every r >= 1.
 Both coefficients are reported as a Coefficient record: the value, its
-relative imaginary residue, the truncation tail and the refinement delta
-(the same integral re-run at half resolution, see _refine_delta).  Exact
-q^(1/4)-polynomial ingredients are computed in K and only embedded to
-floats at the quadrature boundary.
+relative imaginary residue, and its relative change from cutoff pmax to
+pmax // 2 (the truncation tail) and from the grid to the half grid (the
+refinement delta).  Exact q^(1/4)-polynomial ingredients are computed in K
+and only embedded to floats at the quadrature boundary.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ class EulerSpec:
 
     Factors are evaluated once per degree and raised to the count of
     irreducibles of that degree, so a generous cutoff costs almost nothing.
+    The running product at degree pmax // 2 (1 at pmax = 1) is kept on the
+    way; a value's relative change between the two is its truncation tail.
     A level-two factor is evaluated once per (degree, sgn(a)^e), shared by
     the roots it does not tell apart (18 of 4 * 12 at pmax = 12), on top of
     a zeta-independent half evaluated once per degree.
@@ -111,13 +113,25 @@ class QuadSpec:
 MIN_REFINE_POINTS = 8
 
 
+def _relative_change(val: complex, other: complex) -> float:
+    """|val - other| / |val|: how far val moves when its grid or its Euler
+    cutoff is halved."""
+    return abs(val - other) / max(abs(val), 1e-300)
+
+
+#: The truncation tails of Q1 and Q2: the relative change from the value at
+#: Euler cutoff pmax to the one at pmax // 2, both from one grid pass.
+level_one_tail_estimate = regularized_tail_estimate = _relative_change
+
+
 def _refine_delta(val: complex, value_at, quad: QuadSpec, refine: bool):
-    """|val - value_at(half grid)| / |val|, or None when refine is off or the
-    half grid would have fewer than MIN_REFINE_POINTS nodes per circle."""
+    """The relative change from val to value_at(half grid), or None when
+    refine is off or the half grid would have fewer than MIN_REFINE_POINTS
+    nodes per circle."""
     if not refine or quad.n_points // 2 < MIN_REFINE_POINTS:
         return None
-    coarse = value_at(QuadSpec(rho=quad.rho, n_points=quad.n_points // 2))
-    return abs(val - coarse) / max(abs(val), 1e-300)
+    return _relative_change(
+        val, value_at(QuadSpec(rho=quad.rho, n_points=quad.n_points // 2)))
 
 
 @dataclass(frozen=True)
@@ -260,48 +274,14 @@ def _level_one_log_factor(zs, q, e: int):
 
 
 def euler_product_level_one(zs, q, pmax: int):
-    log_total = 0
+    """The truncated level-one products (to degree pmax // 2, to degree pmax),
+    the first a snapshot of the running log-sum."""
+    log_total = log_lower = 0
     for e in range(1, pmax + 1):
         log_total = log_total + irreducible_count(q, e) * _level_one_log_factor(zs, q, e)
-    return np.exp(log_total)
-
-
-#: Degrees past the cutoff that _tail_sum evaluates at most, and the modulus
-#: |xi_k| of the point where the tail estimates probe the local factors.
-TAIL_PROBES = 24
-TAIL_RADIUS = 1.1
-
-
-def _tail_sum(factor_minus_one, q: int, pmax: int,
-              floor: float = 1e-13) -> float:
-    """Sum counts(e) * |factor(e) - 1| past the cutoff, with a geometric top-up.
-
-    Stops once the per-degree deviation reaches the evaluation's noise
-    floor (beyond which the huge irreducible counts would only amplify
-    noise) and extrapolates the remaining tail from the last ratio.
-    """
-    tail = 0.0
-    prev = None
-    for e in range(pmax + 1, pmax + TAIL_PROBES + 1):
-        dev = abs(factor_minus_one(e))
-        if dev < floor:
-            break
-        term = irreducible_count(q, e) * dev
-        tail += term
-        if prev is not None and term < prev:
-            ratio = term / prev
-            if e == pmax + TAIL_PROBES or dev < 3 * floor:
-                tail += term * ratio / (1 - ratio)
-                break
-        prev = term
-    return float(tail)
-
-
-def level_one_tail_estimate(q: int, r: int, pmax: int) -> float:
-    """Truncation tail of the level-one product, probed at |xi_k| = TAIL_RADIUS."""
-    probe = [TAIL_RADIUS] * r
-    return _tail_sum(
-        lambda e: _level_one_log_factor(probe, q, e), q, pmax, floor=1e-19)
+        if e == pmax // 2:
+            log_lower = log_total
+    return np.exp(log_lower), np.exp(log_total)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +345,9 @@ def regularized_local_factor(xis, zeta, a_sign: int, q, e: int):
     return _root_factor(_shared_factor(xis, q, e), zeta**e, a_sign**e)
 
 
-def euler_product_regularized(xis, q, pmax: int) -> dict:
+def euler_product_regularized(xis, q, pmax: int) -> tuple[dict, dict]:
     """{zeta: truncated regularized product} for the four roots, in
-    ZETA_FOURTH order.
+    ZETA_FOURTH order: to degree pmax // 2, then to degree pmax.
 
     A degree-e factor is even in zeta^e: zeta -> -zeta swaps d1 with d3 and
     e1 with e3 and negates d2, e2, last and every a_i, which leaves each term
@@ -377,23 +357,17 @@ def euler_product_regularized(xis, q, pmax: int) -> dict:
     evaluated once per degree, and the two roots of one sign share one
     product array.
     """
-    by_sign = {1: 1, -1: 1}
+    lower = by_sign = {1: 1, -1: 1}
     for e in range(1, pmax + 1):
         shared = _shared_factor(xis, q, e)
         count = irreducible_count(q, e)
         plus = _root_factor(shared, 1 + 0j, 1) ** count
         minus = plus if e % 2 == 0 else _root_factor(shared, 1j**e, -1) ** count
-        by_sign[1] = by_sign[1] * plus
-        by_sign[-1] = by_sign[-1] * minus
-    return {zeta: by_sign[a_sign] for zeta, a_sign in ZETA_FOURTH.items()}
-
-
-def regularized_tail_estimate(q: int, r: int, pmax: int) -> float:
-    """Truncation tail of the regularized product: the larger of the probes at
-    zeta = 1 with sgn(a) = +1 and -1, |xi_k| = TAIL_RADIUS."""
-    probe = [TAIL_RADIUS] * r
-    return max(_tail_sum(lambda e: regularized_local_factor(probe, 1 + 0j, s, q, e) - 1,
-                         q, pmax) for s in (1, -1))
+        by_sign = {1: by_sign[1] * plus, -1: by_sign[-1] * minus}
+        if e == pmax // 2:
+            lower = by_sign
+    return tuple({zeta: products[a_sign] for zeta, a_sign in ZETA_FOURTH.items()}
+                 for products in (lower, by_sign))
 
 
 def secondary_weight_functions(zs, zeta, q):
@@ -437,7 +411,8 @@ def _q1_kernel(zs):
 
 
 def _q1_slices(q: int, r: int, euler: EulerSpec, quad: QuadSpec):
-    """The Q1 integrand slice by slice: (w_i, base, extra, prod z).
+    """The Q1 integrand slice by slice: (w_i, cores, prod z), with one
+    (base, extra) core per Euler cutoff, pmax // 2 and then pmax.
 
     base is A times the kernel times w_rest; extra is base times
     prod (1 - sqrt(q) z), the core of the even degrees.
@@ -445,41 +420,47 @@ def _q1_slices(q: int, r: int, euler: EulerSpec, quad: QuadSpec):
     sq = q**0.5
     for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
         kern = _q1_kernel(zs) * w_rest
-        base = euler_product_level_one(zs, q, euler.pmax) * kern
-        extra = base
-        for z in zs:
-            extra = extra * (1 - sq * z)
-        yield w_i, base, extra, _product(zs)
+        cores = []
+        for euler_product in euler_product_level_one(zs, q, euler.pmax):
+            base = euler_product * kern
+            extra = base
+            for z in zs:
+                extra = extra * (1 - sq * z)
+            cores.append((base, extra))
+        yield w_i, cores, _product(zs)
 
 
 def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
-               quad: QuadSpec = QuadSpec()) -> dict[int, complex]:
-    """Q1(D, q) for every degree in the list, sharing one grid pass."""
+               quad: QuadSpec = QuadSpec()) -> dict[int, tuple[complex, complex]]:
+    """{D: (Q1 at Euler cutoff pmax // 2, Q1 at pmax)} for every degree in
+    the list, sharing one grid pass."""
     _require_modulus(q)
     if r < 1:
         raise ValueError("need r >= 1")
     degrees = _degrees(degrees)
-    acc = {d: 0j for d in degrees}
-    for w_i, base, extra, prodz in _q1_slices(q, r, euler, quad):
+    acc = {d: [0j, 0j] for d in degrees}
+    for w_i, cores, prodz in _q1_slices(q, r, euler, quad):
         for d in degrees:
-            core = extra if d % 2 == 0 else base
-            acc[d] += w_i * (core * prodz ** (-(d // 2))).sum()
+            for k, (base, extra) in enumerate(cores):
+                core = extra if d % 2 == 0 else base
+                acc[d][k] += w_i * (core * prodz ** (-(d // 2))).sum()
     pref_even = (1 - 1 / q) * (1 - q**0.5) ** (-r) * _sign(r) / factorial(r)
     pref_odd = (1 - 1 / q) * _sign(r) / factorial(r)
     return {
-        d: complex((pref_even if d % 2 == 0 else pref_odd) * acc[d])
+        d: tuple(complex((pref_even if d % 2 == 0 else pref_odd) * v)
+                 for v in acc[d])
         for d in degrees
     }
 
 
 def q1_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
                    quad: QuadSpec = QuadSpec(), refine: bool = True) -> Coefficient:
-    def value_at(spec: QuadSpec) -> complex:
+    def value_at(spec: QuadSpec) -> tuple[complex, complex]:
         return q1_profile(q, r, [D], euler, spec)[D]
 
-    val = value_at(quad)
-    tail = level_one_tail_estimate(q, r, euler.pmax)
-    delta = _refine_delta(val, value_at, quad, refine)
+    lower, val = value_at(quad)
+    tail = level_one_tail_estimate(val, lower)
+    delta = _refine_delta(val, lambda spec: value_at(spec)[1], quad, refine)
     return Coefficient.of(q, r, D, val, tail, delta, note=_q2_rank_note(r))
 
 
@@ -523,43 +504,46 @@ Q2_QUAD = QuadSpec(rho=0.05, n_points=64)
 
 
 def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
-                    quad: QuadSpec = Q2_QUAD
-                    ) -> dict[int, dict[complex, tuple[complex, complex]]]:
+                    quad: QuadSpec = Q2_QUAD) -> dict:
     """The two D-indexed contour integrals of the level-two machinery.
 
-    Returns {D: {zeta: (first, second)}} for every fourth root of unity zeta,
-    in ZETA_FOURTH order; one grid pass serves all roots and degrees.  Each
-    slice forms the root-independent kernel once and each damping power
-    once per degree, shared by the four roots.
+    Returns {D: {zeta: ((first, second) at Euler cutoff pmax // 2,
+    (first, second) at pmax)}} for every fourth root of unity zeta, in
+    ZETA_FOURTH order; one grid pass serves all roots, degrees and both
+    cutoffs.  Each slice forms the root-independent kernel once and each
+    damping power once per degree, shared by the four roots.
     """
     _require_modulus(q)
     if note := _q2_rank_note(r):
         raise ValueError(f"the level-two coefficient is {note}")
     degrees = _degrees(degrees)
-    acc = {d: {zeta: [0j, 0j] for zeta in ZETA_FOURTH} for d in degrees}
+    acc = {d: {zeta: [[0j, 0j], [0j, 0j]] for zeta in ZETA_FOURTH} for d in degrees}
     for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
         tailprod = _product(zs[3:])
-        sregs = euler_product_regularized(zs, q, euler.pmax)
+        cutoffs = euler_product_regularized(zs, q, euler.pmax)
         kern = _q2_kernel(zs, 3) * w_rest
         cores = {}
         for zeta in ZETA_FOURTH:
             g1, g2 = secondary_weight_functions(zs, zeta, q)
-            root_kern = kern * sregs[zeta]
-            cores[zeta] = (g1 * root_kern, g2 * root_kern)
+            root_kerns = [kern * sregs[zeta] for sregs in cutoffs]
+            cores[zeta] = [(g1 * rk, g2 * rk) for rk in root_kerns]
         for d in degrees:
             damp = tailprod ** (-d)
-            for zeta, (core1, core2) in cores.items():
-                acc[d][zeta][0] += w_i * (core1 * damp).sum()
-                acc[d][zeta][1] += w_i * (core2 * damp).sum()
+            for zeta, per_cutoff in cores.items():
+                for sums, (core1, core2) in zip(acc[d][zeta], per_cutoff):
+                    sums[0] += w_i * (core1 * damp).sum()
+                    sums[1] += w_i * (core2 * damp).sum()
     sign = _sign(r)
-    return {d: {zeta: (complex(sign * first), complex(sign * second))
-                for zeta, (first, second) in pieces.items()}
+    return {d: {zeta: tuple((complex(sign * first), complex(sign * second))
+                            for first, second in per_cutoff)
+                for zeta, per_cutoff in pieces.items()}
             for d, pieces in acc.items()}
 
 
 def q2_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
-               quad: QuadSpec = Q2_QUAD) -> dict[int, dict[complex, complex]]:
-    """{D: {zeta: piece}} with Q2(D, q) = sum over zeta of zeta^D * piece.
+               quad: QuadSpec = Q2_QUAD) -> dict:
+    """{D: {zeta: (piece at Euler cutoff pmax // 2, piece at pmax)}} with
+    Q2(D, q) = sum over zeta of zeta^D * piece.
 
     One q2_term_profile grid pass, shared across all roots and degrees; the
     pieces come in ZETA_FOURTH order.
@@ -567,8 +551,9 @@ def q2_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     terms = q2_term_profile(q, r, degrees, euler, quad)
     norm = 1 / (2**5 * 6 * factorial(r - 3))
     return {
-        D: {zeta: norm * ((1 - q**0.5) ** (-r) * first + second)
-            for zeta, (first, second) in pieces.items()}
+        D: {zeta: tuple(norm * ((1 - q**0.5) ** (-r) * first + second)
+                        for first, second in per_cutoff)
+            for zeta, per_cutoff in pieces.items()}
         for D, pieces in terms.items()
     }
 
@@ -577,13 +562,16 @@ def q2_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
                    quad: QuadSpec = Q2_QUAD, refine: bool = True) -> Coefficient:
     """Q2(D, q): the coefficient of q^(3D/4) in the moment prediction."""
 
-    def assemble(spec: QuadSpec) -> tuple[complex, dict]:
+    def assemble(spec: QuadSpec) -> tuple[complex, complex, dict]:
+        """(Q2 at Euler cutoff pmax // 2, Q2 at pmax, its pieces at pmax)."""
         by_zeta = q2_profile(q, r, [D], euler, spec)[D]
-        return sum(zeta**D * piece for zeta, piece in by_zeta.items()), by_zeta
+        lower, val = (sum(zeta**D * pieces[k] for zeta, pieces in by_zeta.items())
+                      for k in (0, 1))
+        return lower, val, {zeta: pieces[1] for zeta, pieces in by_zeta.items()}
 
-    val, by_zeta = assemble(quad)
-    tail = regularized_tail_estimate(q, r, euler.pmax)
-    delta = _refine_delta(val, lambda spec: assemble(spec)[0], quad, refine)
+    lower, val, by_zeta = assemble(quad)
+    tail = regularized_tail_estimate(val, lower)
+    delta = _refine_delta(val, lambda spec: assemble(spec)[1], quad, refine)
     return Coefficient.of(q, r, D, val, tail, delta, by_zeta=by_zeta)
 
 
@@ -601,11 +589,11 @@ def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
         raise ValueError(f"the second term (N = 2) is {note}")
     degrees = _degrees(degrees)
     q1 = q1_profile(q, r, degrees, euler, quad)
-    preds = {D: q1[D].real * q**D for D in degrees}
+    preds = {D: q1[D][1].real * q**D for D in degrees}
     if n_terms == 2:
         quad2 = QuadSpec(rho=Q2_QUAD.rho, n_points=quad.n_points)
         for D, pieces in q2_profile(q, r, degrees, euler, quad2).items():
-            for zeta, piece in pieces.items():
+            for zeta, (_, piece) in pieces.items():
                 preds[D] += (zeta**D * piece).real * q ** (0.75 * D)
     return preds
 

@@ -52,7 +52,7 @@ def big_g(xis, q, pmax: int):
     for i in range(r):
         for j in range(i, r):
             head = head / (1 - xis[i] * xis[j])
-    return head * pr.euler_product_level_one(xis, q, pmax)
+    return head * pr.euler_product_level_one(xis, q, pmax)[1]
 
 
 def local_moment_factor(xis, q, e: int):
@@ -95,25 +95,28 @@ def q2_term_profile_per_root(q: int, r: int, degrees, euler: pr.EulerSpec,
                              quad: pr.QuadSpec) -> dict:
     """predictor.q2_term_profile with every slice factor formed per root: the
     kernel _q2_kernel(zs, 3) * w_rest once per root and each damping power
-    tailprod^(-D) once per (root, D), where the production loop forms the
-    kernel once per slice and each power once per (slice, D)."""
+    tailprod^(-D) once per (root, cutoff, D), where the production loop forms
+    the kernel once per slice and each power once per (slice, D)."""
     degrees = sorted(set(degrees))
-    acc = {d: {zeta: [0j, 0j] for zeta in pr.ZETA_FOURTH} for d in degrees}
+    acc = {d: {zeta: [[0j, 0j], [0j, 0j]] for zeta in pr.ZETA_FOURTH}
+           for d in degrees}
     for w_i, zs, w_rest in pr._torus(r, quad.n_points, quad.rho):
         tailprod = pr._product(zs[3:])
-        sregs = pr.euler_product_regularized(zs, q, euler.pmax)
+        cutoffs = pr.euler_product_regularized(zs, q, euler.pmax)
         for zeta in pr.ZETA_FOURTH:
             g1, g2 = pr.secondary_weight_functions(zs, zeta, q)
-            kern = pr._q2_kernel(zs, 3) * w_rest * sregs[zeta]
-            core1 = g1 * kern
-            core2 = g2 * kern
-            for d in degrees:
-                damp = tailprod ** (-d)
-                acc[d][zeta][0] += w_i * (core1 * damp).sum()
-                acc[d][zeta][1] += w_i * (core2 * damp).sum()
+            for k, sregs in enumerate(cutoffs):
+                kern = pr._q2_kernel(zs, 3) * w_rest * sregs[zeta]
+                core1 = g1 * kern
+                core2 = g2 * kern
+                for d in degrees:
+                    damp = tailprod ** (-d)
+                    acc[d][zeta][k][0] += w_i * (core1 * damp).sum()
+                    acc[d][zeta][k][1] += w_i * (core2 * damp).sum()
     sign = pr._sign(r)
-    return {d: {zeta: (complex(sign * first), complex(sign * second))
-                for zeta, (first, second) in pieces.items()}
+    return {d: {zeta: tuple((complex(sign * first), complex(sign * second))
+                            for first, second in per_cutoff)
+                for zeta, per_cutoff in pieces.items()}
             for d, pieces in acc.items()}
 
 
@@ -143,7 +146,8 @@ def q1_coefficient_circle(q: int, r: int, D: int,
     sq = q**0.5
     xi_nodes, xi_w = pr._circle(n_xi, q ** (-2.0), center=0.0)
     out = 0j
-    for w_i, base, extra, prodz in pr._q1_slices(q, r, euler, quad):
+    for w_i, cores, prodz in pr._q1_slices(q, r, euler, quad):
+        base, extra = cores[1]
         for xi, wx in zip(xi_nodes, xi_w):
             pole = 1 / (1 - q**2 * xi**2 / prodz)
             piece = ((1 - sq) ** (-r)) * extra * pole + q * xi * base * pole

@@ -89,6 +89,14 @@ def test_roots_above_level_two_is_one_error_line(level):
     assert f"not level {level}" in p.stderr
 
 
+@pytest.mark.parametrize("level", ["1", "3"])
+def test_roots_over_the_root_budget_is_one_error_line(level):
+    # 2^40 level-one roots: the enumeration stops at ROOT_BUDGET instead
+    p = run_cli("roots", "--r", "40", "--level", level, timeout=60)
+    assert_one_line_error(p)
+    assert "positive real roots" in p.stderr
+
+
 # stdout of `cocycle gamma-table --q 5`, pinned byte for byte so that a change
 # in how K stores its elements cannot move a printed digit
 GAMMA_TABLE_GOLDEN = (
@@ -215,12 +223,12 @@ PREDICT_GOLDEN = {
     "q1": (
         '{"D": 6, "imag_rel": 4.610420036250534e-11, "kind": "q1", "q": 5, '
         '"r": 4, "refinement_delta": 1.007826580029181e-06, '
-        '"truncation_tail": 2.5431339709116964e-07, "value": 70.95844126658913}\n'
+        '"truncation_tail": 0.0002554911589237378, "value": 70.95844126658913}\n'
     ),
     "q2": (
         '{"D": 6, "imag_rel": 1.3795111435791186e-08, "kind": "q2", "q": 5, '
         '"r": 4, "refinement_delta": 2.257410265130109e-05, '
-        '"truncation_tail": 0.44965122249212164, "value": -0.35097736275810193}\n'
+        '"truncation_tail": 0.0425268156966166, "value": -0.35097736275810193}\n'
     ),
 }
 
@@ -230,6 +238,14 @@ def test_predict_golden_stdout(which):
     p = run_cli("predict", which, "--D", "6", "--quad", "16")
     assert p.returncode == 0
     assert p.stdout == PREDICT_GOLDEN[which]
+
+
+def test_predict_flags_an_unconverged_euler_cutoff():
+    # q = 13 at the default pmax = 12 gives Q2 = +0.533 where pmax = 6..10
+    # give ~ -0.334; the value is finite, so only the tail can say so
+    p = run_cli("predict", "q2", "--q", "13", "--D", "6", "--quad", "16")
+    assert p.returncode == 0
+    assert json.loads(p.stdout)["truncation_tail"] > 1
 
 
 def test_verify_json_names_the_second_term_radius():

@@ -61,6 +61,12 @@ class TestEnumeration:
             if a.height > 1 and all(2 * v <= a.level for v in a.k[:4]):
                 assert sum(a.k[:4]) <= 2 * a.level - 1
 
+    def test_root_budget(self):
+        # level one has 2^r roots: r = 13 fits the budget, r = 14 does not
+        assert len(km.positive_real_roots_at_level(13, 1)) == 2**13 <= km.ROOT_BUDGET
+        with pytest.raises(ValueError, match=f"more than {km.ROOT_BUDGET}"):
+            km.positive_real_roots_at_level(14, 1)
+
     def test_invalid_level(self):
         with pytest.raises(ValueError):
             km.positive_real_roots_at_level(4, 0)

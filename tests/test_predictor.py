@@ -127,13 +127,37 @@ class TestLevelOneEuler:
         for e in range(1, 7):
             direct = direct * oracles.level_one_local_factor(zs, Q, e) \
                 ** irreducible_count(Q, e)
-        stable = pr.euler_product_level_one(zs, Q, 6)
+        stable = pr.euler_product_level_one(zs, Q, 6)[1]
         assert abs(direct - stable) < 1e-10 * abs(direct)
 
-    def test_tail_estimate_sane(self):
-        tail6 = pr.level_one_tail_estimate(Q, 4, 6)
-        tail12 = pr.level_one_tail_estimate(Q, 4, 12)
-        assert 0 < tail12 < tail6 < 1
+    @pytest.mark.parametrize("pmax", [1, 5, 12])
+    def test_lower_cutoff_is_the_product_at_half_pmax(self, rng, pmax):
+        zs = [complex(rng.uniform(0.9, 1.1), rng.uniform(-0.1, 0.1))
+              for _ in range(4)]
+        lower, _ = pr.euler_product_level_one(zs, Q, pmax)
+        assert lower == pr.euler_product_level_one(zs, Q, pmax // 2)[1]
+
+
+class TestTruncationTail:
+    """The tail is the relative change from Euler cutoff pmax to pmax // 2."""
+
+    def test_q1_tail_covers_the_gap_to_twice_the_cutoff(self):
+        quad = pr.QuadSpec(0.1, 16)
+        res = pr.q1_coefficient(Q, 4, 4, pr.EulerSpec(12), quad, refine=False)
+        far = pr.q1_coefficient(Q, 4, 4, pr.EulerSpec(24), quad, refine=False)
+        assert res.tail_estimate >= abs(res.value - far.value) / abs(res.value)
+
+    def test_q2_tail_flags_the_unconverged_q13_value(self):
+        # the value at pmax = 12 is +0.533 where pmax = 6..10 give ~ -0.334
+        res = pr.q2_coefficient(13, 4, 6, pr.EulerSpec(12), pr.QuadSpec(0.05, 16))
+        assert res.tail_estimate > 1
+
+    def test_pmax_one_gives_a_finite_tail(self):
+        # pmax // 2 = 0: the value is compared with the empty product 1
+        q1 = pr.q1_coefficient(Q, 4, 4, pr.EulerSpec(1), pr.QuadSpec(0.1, 8))
+        q2 = pr.q2_coefficient(Q, 4, 4, pr.EulerSpec(1), pr.QuadSpec(0.05, 8))
+        for res in (q1, q2):
+            assert np.isfinite(res.tail_estimate) and res.tail_estimate > 0
 
 
 class TestRegularizedFactor:
@@ -227,7 +251,7 @@ class TestRegularizedProduct:
     @pytest.mark.parametrize("pmax", [6, 12])
     def test_bit_identical_to_per_root_product(self, q, r, n, pmax):
         zs = self.slice_point(r, n)
-        got = pr.euler_product_regularized(zs, q, pmax)
+        got = pr.euler_product_regularized(zs, q, pmax)[1]
         want = oracles.euler_product_regularized_per_root(zs, q, pmax)
         assert list(got) == list(pr.ZETA_FOURTH)
         for zeta in pr.ZETA_FOURTH:
@@ -236,7 +260,7 @@ class TestRegularizedProduct:
     def test_same_non_finite_pattern_past_overflow(self):
         zs = self.slice_point(4, 8, index=1)  # part finite, part inf/nan
         with np.errstate(all="ignore"):
-            got = pr.euler_product_regularized(zs, Q, 28)
+            got = pr.euler_product_regularized(zs, Q, 28)[1]
             want = oracles.euler_product_regularized_per_root(zs, Q, 28)
         finite = [np.isfinite(v) for v in want.values()]
         assert all(f.any() and not f.all() for f in finite)
@@ -258,6 +282,15 @@ class TestRegularizedProduct:
         assert calls == {"_shared_factor": pmax, "_root_factor": distinct}
         if pmax == 12:
             assert distinct == 18
+
+    @pytest.mark.parametrize("pmax", [1, 7, 12])
+    def test_lower_cutoff_is_the_product_at_half_pmax(self, pmax):
+        zs = self.slice_point(4, 8)
+        lower, _ = pr.euler_product_regularized(zs, Q, pmax)
+        want = oracles.euler_product_regularized_per_root(zs, Q, pmax // 2)
+        assert list(lower) == list(pr.ZETA_FOURTH)
+        for zeta in pr.ZETA_FOURTH:
+            assert np.array_equal(lower[zeta], want[zeta])
 
 
 class TestClosedSeries:
@@ -359,7 +392,7 @@ class TestQ1:
     def test_parity_structure_only_uses_matching_branch(self):
         # even and odd degrees use different integrand cores, both finite
         prof = pr.q1_profile(Q, 3, [2, 3], pr.EulerSpec(6), pr.QuadSpec(0.1, 16))
-        assert abs(prof[2]) > 0 and abs(prof[3]) > 0
+        assert abs(prof[2][1]) > 0 and abs(prof[3][1]) > 0
 
     # q1_profile(5, 1, [1..6], EulerSpec(6), QuadSpec(0.1, 16)) from a
     # vectorised r = 1 evaluation that multiplies the integrand in another
@@ -376,14 +409,14 @@ class TestQ1:
     def test_rank_one_profile_matches_vectorised_route(self):
         got = pr.q1_profile(Q, 1, range(1, 7), pr.EulerSpec(6), pr.QuadSpec(0.1, 16))
         for D, want in self.R1_PROFILE.items():
-            assert abs(got[D] - want) <= 1e-14 * abs(want)
+            assert abs(got[D][1] - want) <= 1e-14 * abs(want)
 
     def test_circle_mode_matches_analytic_extraction(self):
         quad = pr.QuadSpec(0.1, 16)
         an = pr.q1_profile(Q, 3, [3, 4], pr.EulerSpec(6), quad)
         for D in (3, 4):
             ci = oracles.q1_coefficient_circle(Q, 3, D, pr.EulerSpec(6), quad, n_xi=24)
-            assert abs(an[D] - ci) < 1e-6 * abs(an[D])
+            assert abs(an[D][1] - ci) < 1e-6 * abs(an[D][1])
 
 
 class TestQ2:
@@ -420,8 +453,8 @@ class TestQ2:
         pieces = pr.q2_profile(Q, 4, [4, 5], euler, quad)
         assert list(pieces) == [4, 5]
         assert list(res.by_zeta) == list(pr.ZETA_FOURTH)
-        assert res.by_zeta == pieces[5]
-        assert res.value == sum(z**5 * p for z, p in pieces[5].items()).real
+        assert res.by_zeta == {z: p[1] for z, p in pieces[5].items()}
+        assert res.value == sum(z**5 * p[1] for z, p in pieces[5].items()).real
 
     def test_one_torus_walk_serves_every_root(self, monkeypatch):
         walks = []
@@ -453,7 +486,7 @@ class TestMomentPrediction:
     def test_first_term_is_q1_times_q_to_the_d(self):
         q1 = pr.q1_profile(Q, 4, [3, 4], self.EULER, self.QUAD)
         got = pr.moment_prediction(Q, 4, [3, 4], 1, self.EULER, self.QUAD)
-        assert got == {D: q1[D].real * Q**D for D in (3, 4)}
+        assert got == {D: q1[D][1].real * Q**D for D in (3, 4)}
 
     def test_second_term_adds_q2_on_the_level_two_radius(self):
         one = pr.moment_prediction(Q, 4, [3, 4], 1, self.EULER, self.QUAD)
