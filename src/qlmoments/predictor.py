@@ -13,18 +13,20 @@ Two pipelines are implemented on top of the cocycle module:
   of unity zeta (each fixes its sign sgn(a) = zeta^2, see ZETA_FOURTH).
 
 Euler products are truncated at a degree cutoff pmax and also return their
-running value at pmax // 2, so one grid walk gives both cutoffs.  The
-level-two product serves all four roots at once: a degree-e factor depends
-on zeta only through sgn(a)^e, so it is evaluated once per (e, sgn(a)^e),
-18 of 48 at pmax = 12, with its zeta-independent half once per degree.
-All contour quadrature is the trapezoid rule on circles (spectrally
-accurate for these analytic integrands), and every r-fold integral walks
-the one grid generator _torus, for every r >= 1.
+running value at pmax // 2.  The level-two product serves all four roots
+at once: a degree-e factor depends on zeta only through sgn(a)^e, so it is
+evaluated once per (e, sgn(a)^e), 18 of 48 at pmax = 12, with its
+zeta-independent half once per degree.  All contour quadrature is the
+trapezoid rule on circles (spectrally accurate for these analytic
+integrands), and every r-fold integral walks the one grid generator
+_torus, for every r >= 1.  The rule on n // 2 nodes per circle reads the
+even-index nodes of the n-node grid, so one grid pass yields both cutoffs
+and both grids.
 Both coefficients are reported as a Coefficient record: the value, its
 relative imaginary residue, and its relative change from cutoff pmax to
-pmax // 2 (the truncation tail) and from the grid to the half grid (the
-refinement delta).  Exact q^(1/4)-polynomial ingredients are computed in K
-and only embedded to floats at the quadrature boundary.
+pmax // 2 (the truncation tail) and from the grid to its even-index half
+(the refinement delta).  Exact q^(1/4)-polynomial ingredients are computed
+in K and only embedded to floats at the quadrature boundary.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ class QuadSpec:
             raise ValueError("n_points must be a power of two")
 
 
-#: Fewest nodes per circle of the half grid behind a refinement delta; below
-#: it (n_points < 16) the delta is reported as None.
+#: Fewest nodes per circle of the half grid behind a refinement delta (the
+#: even-index nodes of the same pass); below it (n_points < 16) the delta is
+#: reported as None.
 MIN_REFINE_POINTS = 8
 
 
@@ -124,14 +127,13 @@ def _relative_change(val: complex, other: complex) -> float:
 level_one_tail_estimate = regularized_tail_estimate = _relative_change
 
 
-def _refine_delta(val: complex, value_at, quad: QuadSpec, refine: bool):
-    """The relative change from val to value_at(half grid), or None when
-    refine is off or the half grid would have fewer than MIN_REFINE_POINTS
+def _refine_delta(val: complex, half: complex, quad: QuadSpec, refine: bool):
+    """The relative change from val to its half-grid value half, or None
+    when refine is off or the half grid has fewer than MIN_REFINE_POINTS
     nodes per circle."""
     if not refine or quad.n_points // 2 < MIN_REFINE_POINTS:
         return None
-    return _relative_change(
-        val, value_at(QuadSpec(rho=quad.rho, n_points=quad.n_points // 2)))
+    return _relative_change(val, half)
 
 
 @dataclass(frozen=True)
@@ -172,18 +174,29 @@ def _circle(n: int, rho: float, center: complex = 1.0):
 def _torus(r: int, n: int, rho: float, center: complex = 1.0):
     """Walk the r-fold trapezoid grid one slice at a time.
 
-    Yields (w_i, zs, w_rest): the last max(r - 1, 1) variables of zs are
-    broadcast views of all n nodes and w_rest is the product of their
+    Yields (w_i, zs, w_rest, half): the last max(r - 1, 1) variables of zs
+    are broadcast views of all n nodes and w_rest is the product of their
     weights; the leading variable, if any is left, is node i with weight
-    w_i.  For r = 1 the one slice is (1, [nodes], w).
+    w_i.  For r = 1 the one slice is (1, [nodes], w, half).
+
+    The n // 2-node rule has the even-index nodes and exactly twice the
+    weights, so the walk also covers its half grid: half indexes the
+    even-index sub-lattice of the broadcast axes on a slice whose leading
+    index is even (every r = 1 slice), and is None otherwise.  The sum of
+    w_i * (f(zs) * w_rest)[half] over those slices, times 2^r, is the
+    half-grid integral of f bit for bit where the values agree, since the
+    scale is a power of two.
     """
     nodes, w = _circle(n, rho, center)
     k = max(r - 1, 1)
     shapes = [[n if b == a else 1 for b in range(k)] for a in range(k)]
     views = [nodes.reshape(shape) for shape in shapes]
     w_rest = _product([w.reshape(shape) for shape in shapes])
+    sub = (slice(None, None, 2),) * k
     for lead in itertools.product(range(n), repeat=r - k):
-        yield np.prod(w[list(lead)]), [nodes[i] for i in lead] + views, w_rest
+        half = None if any(i % 2 for i in lead) else sub
+        yield (np.prod(w[list(lead)]), [nodes[i] for i in lead] + views,
+               w_rest, half)
 
 
 def _product(factors):
@@ -209,7 +222,7 @@ def _sign(r: int) -> int:
 def contour_integral(fn, r: int, rho: float, n: int, center: complex = 1.0) -> complex:
     """(1/(2 pi i))^r times the iterated contour integral of fn over r circles."""
     total = 0j
-    for w_i, zs, w_rest in _torus(r, n, rho, center):
+    for w_i, zs, w_rest, _ in _torus(r, n, rho, center):
         total += w_i * (fn(zs) * w_rest).sum()
     return complex(total)
 
@@ -219,13 +232,20 @@ def contour_integral(fn, r: int, rho: float, n: int, center: complex = 1.0) -> c
 
 
 def _clog1p(z):
-    """log(1 + z) accurate for small complex z (numpy log1p lacks complex)."""
+    """log(1 + z) accurate for small complex z (numpy log1p lacks complex).
+
+    Only the branches the entries need are computed: the series where
+    |z| < 1e-3, the complex log elsewhere.
+    """
     za = np.asarray(z)
     small = np.abs(za) < 1e-3
+    if not small.any():
+        return np.log(1.0 + za)
     zz = za * za
     series = za - zz / 2 + zz * za / 3 - zz * zz / 4
-    direct = np.log(np.where(small, 1.0, 1.0 + za))
-    return np.where(small, series, direct)
+    if small.all():
+        return series
+    return np.where(small, series, np.log(np.where(small, 1.0, 1.0 + za)))
 
 
 def _level_one_log_factor(zs, q, e: int):
@@ -411,14 +431,15 @@ def _q1_kernel(zs):
 
 
 def _q1_slices(q: int, r: int, euler: EulerSpec, quad: QuadSpec):
-    """The Q1 integrand slice by slice: (w_i, cores, prod z), with one
-    (base, extra) core per Euler cutoff, pmax // 2 and then pmax.
+    """The Q1 integrand slice by slice: (w_i, cores, prod z, half), with one
+    (base, extra) core per Euler cutoff, pmax // 2 and then pmax, and half
+    from _torus.
 
     base is A times the kernel times w_rest; extra is base times
     prod (1 - sqrt(q) z), the core of the even degrees.
     """
     sq = q**0.5
-    for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
+    for w_i, zs, w_rest, half in _torus(r, quad.n_points, quad.rho):
         kern = _q1_kernel(zs) * w_rest
         cores = []
         for euler_product in euler_product_level_one(zs, q, euler.pmax):
@@ -427,40 +448,40 @@ def _q1_slices(q: int, r: int, euler: EulerSpec, quad: QuadSpec):
             for z in zs:
                 extra = extra * (1 - sq * z)
             cores.append((base, extra))
-        yield w_i, cores, _product(zs)
+        yield w_i, cores, _product(zs), half
 
 
 def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
-               quad: QuadSpec = QuadSpec()) -> dict[int, tuple[complex, complex]]:
-    """{D: (Q1 at Euler cutoff pmax // 2, Q1 at pmax)} for every degree in
-    the list, sharing one grid pass."""
+               quad: QuadSpec = QuadSpec()
+               ) -> dict[int, tuple[complex, complex, complex]]:
+    """{D: (Q1 at Euler cutoff pmax // 2, Q1 at pmax, Q1 at pmax on the
+    half grid)} for every degree in the list, sharing one grid pass."""
     _require_modulus(q)
     if r < 1:
         raise ValueError("need r >= 1")
     degrees = _degrees(degrees)
-    acc = {d: [0j, 0j] for d in degrees}
-    for w_i, cores, prodz in _q1_slices(q, r, euler, quad):
+    acc = {d: [0j, 0j, 0j] for d in degrees}
+    for w_i, cores, prodz, half in _q1_slices(q, r, euler, quad):
         for d in degrees:
             for k, (base, extra) in enumerate(cores):
                 core = extra if d % 2 == 0 else base
                 acc[d][k] += w_i * (core * prodz ** (-(d // 2))).sum()
+            if half is not None:  # core is the pmax one
+                acc[d][2] += w_i * (core[half] * prodz[half] ** (-(d // 2))).sum()
     pref_even = (1 - 1 / q) * (1 - q**0.5) ** (-r) * _sign(r) / factorial(r)
     pref_odd = (1 - 1 / q) * _sign(r) / factorial(r)
     return {
         d: tuple(complex((pref_even if d % 2 == 0 else pref_odd) * v)
-                 for v in acc[d])
+                 for v in (acc[d][0], acc[d][1], 2**r * acc[d][2]))
         for d in degrees
     }
 
 
 def q1_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
                    quad: QuadSpec = QuadSpec(), refine: bool = True) -> Coefficient:
-    def value_at(spec: QuadSpec) -> tuple[complex, complex]:
-        return q1_profile(q, r, [D], euler, spec)[D]
-
-    lower, val = value_at(quad)
+    lower, val, half = q1_profile(q, r, [D], euler, quad)[D]
     tail = level_one_tail_estimate(val, lower)
-    delta = _refine_delta(val, lambda spec: value_at(spec)[1], quad, refine)
+    delta = _refine_delta(val, half, quad, refine)
     return Coefficient.of(q, r, D, val, tail, delta, note=_q2_rank_note(r))
 
 
@@ -508,17 +529,19 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     """The two D-indexed contour integrals of the level-two machinery.
 
     Returns {D: {zeta: ((first, second) at Euler cutoff pmax // 2,
-    (first, second) at pmax)}} for every fourth root of unity zeta, in
-    ZETA_FOURTH order; one grid pass serves all roots, degrees and both
-    cutoffs.  Each slice forms the root-independent kernel once and each
-    damping power once per degree, shared by the four roots.
+    (first, second) at pmax, (first, second) at pmax on the half grid)}}
+    for every fourth root of unity zeta, in ZETA_FOURTH order; one grid
+    pass serves all roots, degrees, both cutoffs and both grids.  Each
+    slice forms the root-independent kernel once and each damping power
+    once per degree, shared by the four roots.
     """
     _require_modulus(q)
     if note := _q2_rank_note(r):
         raise ValueError(f"the level-two coefficient is {note}")
     degrees = _degrees(degrees)
-    acc = {d: {zeta: [[0j, 0j], [0j, 0j]] for zeta in ZETA_FOURTH} for d in degrees}
-    for w_i, zs, w_rest in _torus(r, quad.n_points, quad.rho):
+    acc = {d: {zeta: [[0j, 0j], [0j, 0j], [0j, 0j]] for zeta in ZETA_FOURTH}
+           for d in degrees}
+    for w_i, zs, w_rest, half in _torus(r, quad.n_points, quad.rho):
         tailprod = _product(zs[3:])
         cutoffs = euler_product_regularized(zs, q, euler.pmax)
         kern = _q2_kernel(zs, 3) * w_rest
@@ -533,17 +556,22 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
                 for sums, (core1, core2) in zip(acc[d][zeta], per_cutoff):
                     sums[0] += w_i * (core1 * damp).sum()
                     sums[1] += w_i * (core2 * damp).sum()
+                if half is not None:  # core1, core2 are the pmax ones
+                    half_sums = acc[d][zeta][2]
+                    half_sums[0] += w_i * (core1[half] * damp[half]).sum()
+                    half_sums[1] += w_i * (core2[half] * damp[half]).sum()
     sign = _sign(r)
-    return {d: {zeta: tuple((complex(sign * first), complex(sign * second))
-                            for first, second in per_cutoff)
-                for zeta, per_cutoff in pieces.items()}
+    scales = (sign, sign, sign * 2**r)
+    return {d: {zeta: tuple((complex(scale * first), complex(scale * second))
+                            for scale, (first, second) in zip(scales, per_grid))
+                for zeta, per_grid in pieces.items()}
             for d, pieces in acc.items()}
 
 
 def q2_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
                quad: QuadSpec = Q2_QUAD) -> dict:
-    """{D: {zeta: (piece at Euler cutoff pmax // 2, piece at pmax)}} with
-    Q2(D, q) = sum over zeta of zeta^D * piece.
+    """{D: {zeta: (piece at Euler cutoff pmax // 2, piece at pmax, piece at
+    pmax on the half grid)}} with Q2(D, q) = sum over zeta of zeta^D * piece.
 
     One q2_term_profile grid pass, shared across all roots and degrees; the
     pieces come in ZETA_FOURTH order.
@@ -561,18 +589,13 @@ def q2_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
 def q2_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
                    quad: QuadSpec = Q2_QUAD, refine: bool = True) -> Coefficient:
     """Q2(D, q): the coefficient of q^(3D/4) in the moment prediction."""
-
-    def assemble(spec: QuadSpec) -> tuple[complex, complex, dict]:
-        """(Q2 at Euler cutoff pmax // 2, Q2 at pmax, its pieces at pmax)."""
-        by_zeta = q2_profile(q, r, [D], euler, spec)[D]
-        lower, val = (sum(zeta**D * pieces[k] for zeta, pieces in by_zeta.items())
-                      for k in (0, 1))
-        return lower, val, {zeta: pieces[1] for zeta, pieces in by_zeta.items()}
-
-    lower, val, by_zeta = assemble(quad)
+    by_zeta = q2_profile(q, r, [D], euler, quad)[D]
+    lower, val, half = (sum(zeta**D * pieces[k] for zeta, pieces in by_zeta.items())
+                        for k in range(3))
     tail = regularized_tail_estimate(val, lower)
-    delta = _refine_delta(val, lambda spec: assemble(spec)[1], quad, refine)
-    return Coefficient.of(q, r, D, val, tail, delta, by_zeta=by_zeta)
+    delta = _refine_delta(val, half, quad, refine)
+    at_pmax = {zeta: pieces[1] for zeta, pieces in by_zeta.items()}
+    return Coefficient.of(q, r, D, val, tail, delta, by_zeta=at_pmax)
 
 
 def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
@@ -593,7 +616,7 @@ def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
     if n_terms == 2:
         quad2 = QuadSpec(rho=Q2_QUAD.rho, n_points=quad.n_points)
         for D, pieces in q2_profile(q, r, degrees, euler, quad2).items():
-            for zeta, (_, piece) in pieces.items():
+            for zeta, (_, piece, _) in pieces.items():
                 preds[D] += (zeta**D * piece).real * q ** (0.75 * D)
     return preds
 

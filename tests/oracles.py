@@ -96,11 +96,26 @@ def q2_term_profile_per_root(q: int, r: int, degrees, euler: pr.EulerSpec,
     """predictor.q2_term_profile with every slice factor formed per root: the
     kernel _q2_kernel(zs, 3) * w_rest once per root and each damping power
     tailprod^(-D) once per (root, cutoff, D), where the production loop forms
-    the kernel once per slice and each power once per (slice, D)."""
+    the kernel once per slice and each power once per (slice, D).  The
+    half-grid entry comes from a walk of its own on n_points // 2 nodes,
+    where the production loop reads the even-index nodes of its one walk."""
     degrees = sorted(set(degrees))
+    cutoffs = _q2_per_root_walk(q, r, degrees, euler, quad)
+    halved = _q2_per_root_walk(q, r, degrees, euler,
+                               pr.QuadSpec(quad.rho, quad.n_points // 2))
+    sign = pr._sign(r)
+    return {d: {zeta: tuple((complex(sign * first), complex(sign * second))
+                            for first, second in (*per_cutoff, halved[d][zeta][1]))
+                for zeta, per_cutoff in pieces.items()}
+            for d, pieces in cutoffs.items()}
+
+
+def _q2_per_root_walk(q, r, degrees, euler, quad) -> dict:
+    """{D: {zeta: [[first, second] at pmax // 2, [first, second] at pmax]}},
+    unsigned, from one walk of the grid quad, every slice factor per root."""
     acc = {d: {zeta: [[0j, 0j], [0j, 0j]] for zeta in pr.ZETA_FOURTH}
            for d in degrees}
-    for w_i, zs, w_rest in pr._torus(r, quad.n_points, quad.rho):
+    for w_i, zs, w_rest, _ in pr._torus(r, quad.n_points, quad.rho):
         tailprod = pr._product(zs[3:])
         cutoffs = pr.euler_product_regularized(zs, q, euler.pmax)
         for zeta in pr.ZETA_FOURTH:
@@ -113,11 +128,7 @@ def q2_term_profile_per_root(q: int, r: int, degrees, euler: pr.EulerSpec,
                     damp = tailprod ** (-d)
                     acc[d][zeta][k][0] += w_i * (core1 * damp).sum()
                     acc[d][zeta][k][1] += w_i * (core2 * damp).sum()
-    sign = pr._sign(r)
-    return {d: {zeta: tuple((complex(sign * first), complex(sign * second))
-                            for first, second in per_cutoff)
-                for zeta, per_cutoff in pieces.items()}
-            for d, pieces in acc.items()}
+    return acc
 
 
 def r_p_3(z1, z2, z3, q):
@@ -146,7 +157,7 @@ def q1_coefficient_circle(q: int, r: int, D: int,
     sq = q**0.5
     xi_nodes, xi_w = pr._circle(n_xi, q ** (-2.0), center=0.0)
     out = 0j
-    for w_i, cores, prodz in pr._q1_slices(q, r, euler, quad):
+    for w_i, cores, prodz, _ in pr._q1_slices(q, r, euler, quad):
         base, extra = cores[1]
         for xi, wx in zip(xi_nodes, xi_w):
             pole = 1 / (1 - q**2 * xi**2 / prodz)

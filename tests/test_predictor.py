@@ -242,7 +242,7 @@ class TestRegularizedProduct:
     @staticmethod
     def slice_point(r: int, n: int, index: int = 3):
         """The grid variables of one torus slice, by default off the real axis."""
-        _, zs, _ = next(itertools.islice(pr._torus(r, n, 0.05), index, None))
+        _, zs, *_ = next(itertools.islice(pr._torus(r, n, 0.05), index, None))
         return zs
 
     # r = 4, n = 32 puts each factor (512 KiB) above numpy's 256 KiB elision size
@@ -468,6 +468,13 @@ class TestQ2:
         pieces = pr.q2_profile(Q, 4, [4, 5], pr.EulerSpec(6), pr.QuadSpec(0.05, 8))
         assert len(walks) == 1
         assert all(list(pieces[D]) == list(pr.ZETA_FOURTH) for D in (4, 5))
+        # a coefficient reads its refinement delta off the same walk
+        for coefficient, rho in ((pr.q1_coefficient, 0.1),
+                                 (pr.q2_coefficient, 0.05)):
+            walks.clear()
+            res = coefficient(Q, 4, 5, pr.EulerSpec(6), pr.QuadSpec(rho, 16))
+            assert len(walks) == 1
+            assert res.refine_delta is not None
 
     def test_leading_coefficient_pieces(self):
         lead = pr.q2_leading_coefficient(Q, 4, pr.EulerSpec(8))
@@ -477,6 +484,45 @@ class TestQ2:
         assert abs(lead["zeta^2"].imag) < 1e-24
         assert abs(lead["zeta^1"] - lead["zeta^3"].conjugate()) < 1e-22
         assert abs(lead["even"] - (lead["zeta^0"] + lead["zeta^2"])) < 1e-24
+
+
+class TestHalfGrid:
+    """The half-grid entry of a profile, read off the even-index nodes of its
+    one walk, is the pmax entry of the same profile on n // 2 nodes."""
+
+    @staticmethod
+    def values(profile, k):
+        """Entry k of every degree (and root) of a profile, as a flat list."""
+        out = []
+        for per_degree in profile.values():
+            for entries in (per_degree.values() if isinstance(per_degree, dict)
+                            else [per_degree]):
+                entry = entries[k]
+                out.extend(entry if isinstance(entry, tuple) else [entry])
+        return out
+
+    # n = 32 slices (32^3 complex, 512 KiB) exceed numpy's 256 KiB
+    # temporary-elision size, where the full-grid values the half grid
+    # shares can differ from the half walk's in the last bits
+    @pytest.mark.parametrize("profile, q, r, n, rel", [
+        (pr.q1_profile, 5, 4, 16, 0.0),
+        (pr.q1_profile, 13, 4, 16, 0.0),
+        (pr.q1_profile, 5, 1, 16, 0.0),
+        (pr.q1_profile, 5, 3, 16, 0.0),
+        (pr.q1_profile, 5, 4, 32, 1e-10),
+        (pr.q2_term_profile, 5, 4, 16, 0.0),
+        (pr.q2_term_profile, 13, 4, 16, 0.0),
+    ])
+    def test_half_grid_is_the_half_walk(self, profile, q, r, n, rel):
+        rho = 0.1 if profile is pr.q1_profile else 0.05
+        euler = pr.EulerSpec(12)
+        got = self.values(profile(q, r, [4, 5], euler, pr.QuadSpec(rho, n)), 2)
+        want = self.values(profile(q, r, [4, 5], euler, pr.QuadSpec(rho, n // 2)), 1)
+        if rel == 0.0:
+            assert repr(got) == repr(want)
+        else:
+            assert len(got) == len(want)
+            assert all(abs(g - w) <= rel * abs(w) for g, w in zip(got, want))
 
 
 class TestMomentPrediction:
