@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: moments, predict q1|q2, roots, cocycle eval|gamma-table,
-verify, selftest.  All output is deterministic for a fixed configuration;
-the seconds column of moments is zeroed unless --timing is passed.
+verify.  All output is deterministic for a fixed configuration; the
+seconds column of moments is zeroed unless --timing is passed.
 Invalid input ends in one line on stderr and exit status 2.
 """
 
@@ -16,9 +16,7 @@ import sys
 import numpy as np
 
 from . import cocycle, kacmoody, moments, predictor
-from .exactnum import KNum
-from .ffpoly import (BudgetExceededError, _divmod, _mul, build_sieve,
-                     monic_from_index)
+from .ffpoly import BudgetExceededError
 
 VERIFY_NOTE = "normalization: unit auxiliary series assumed for r = 4"
 
@@ -160,60 +158,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    q = 5
-    failures = 0
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        failures += 0 if ok else 1
-
-    sieve = build_sieve(q, 3)
-    ok = True
-    for deg in (1, 2, 3):
-        for idx in range(q**deg):
-            c = monic_from_index(q, deg, idx)
-            rebuilt = (1,)
-            rest = c
-            while len(rest) > 1:
-                p = sieve.smallest_factor_raw(rest)
-                rebuilt = _mul(rebuilt, p, q)
-                rest = _divmod(rest, p, q)[0]
-            if _mul(rebuilt, rest, q) != c:
-                ok = False
-    check("sieve reconstructs every monic polynomial (deg <= 3)", ok)
-
-    ok = all(cocycle.gamma_table_entry(k, q) ==
-             cocycle.gamma_table_polynomial(k, q) for k in range(4))
-    check("residue table matches its closed form", ok)
-
-    half = KNum.rational("1/2", q)
-    u = cocycle.u_matrix(half)
-    one = KNum.one(q)
-    check("U^2 = I", cocycle.mat_mul(u, u) ==
-          cocycle.identity3(one, one - one))
-    b = cocycle.b_matrix(half)
-    binv = cocycle.b_inverse_matrix(one)
-    check("B B^{-1} = I", cocycle.mat_mul(b, binv) ==
-          cocycle.identity3(one, one - one))
-
-    rep = kacmoody.wstar_report(5, 8)
-    check("core-reflection inequality report clean (r=5, height 8)", rep.ok)
-
-    m1 = moments.moment(q, 2, 3, method="reflect")
-    m2 = moments.moment(q, 2, 3, method="naive")
-    check("moment oracle dual-route equality (q=5, r=2, D=3)",
-          (m1.a, m1.b) == (m2.a, m2.b))
-
-    v = predictor.vandermonde_core_integral(64, 0.1)
-    check("triple contour constant", abs(v + 48) < 1e-6)
-    check("binomial determinant family",
-          all(predictor.binomial_determinant(r) ==
-              (-2) ** ((r - 3) * (r - 4) // 2) for r in range(4, 9)))
-    return 1 if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qlm", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -272,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("selftest", help="run the built-in property checks")
-    p.set_defaults(func=cmd_selftest)
     return top
 
 

@@ -31,15 +31,12 @@ from .kacmoody import Root
 __all__ = [
     "SingularPointError",
     "act_one",
-    "act_on_z",
     "base_matrix",
     "cocycle_matrix",
     "mat_mul",
     "mat_inv3",
     "identity3",
     "u_matrix",
-    "b_matrix",
-    "b_inverse_matrix",
     "mbar_matrix",
     "gamma_factor_exact",
     "gamma_table_entry",
@@ -88,13 +85,6 @@ def act_one(i: int, z: tuple, q, sqrt_q) -> tuple:
     return tuple(out)
 
 
-def act_on_z(word: tuple[int, ...], z: tuple, q, sqrt_q) -> tuple:
-    """Apply a word as a group element (rightmost letter first)."""
-    for i in reversed(word):
-        z = act_one(i, z, q, sqrt_q)
-    return z
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -134,17 +124,6 @@ def u_matrix(half) -> Matrix:
     one = half + half
     zero = half - half
     return ((half, one, half), (half, zero, -half), (half, -one, half))
-
-
-def b_matrix(half) -> Matrix:
-    one = half + half
-    zero = half - half
-    return ((half, half, zero), (half, -half, zero), (-half, half, one))
-
-
-def b_inverse_matrix(one) -> Matrix:
-    zero = one - one
-    return ((one, one, zero), (one, -one, zero), (zero, one, one))
 
 
 def _diag_entries(u, q, sqrt_q):

@@ -362,18 +362,6 @@ class FactorSieve:
             raise ValueError("degree beyond sieve range")
         return list(self._irr_tuples[deg])
 
-    def smallest_factor_raw(self, c: tuple[int, ...]) -> tuple[int, ...]:
-        deg = len(c) - 1
-        if deg < 1:
-            raise ValueError("constant polynomial has no irreducible factor")
-        if deg > self.max_deg:
-            raise ValueError("degree beyond sieve range")
-        ent = self.table[deg][index_of_monic(c, self.q)]
-        if ent is None:
-            return c
-        e, p_idx, _, _ = ent
-        return self._irr_tuples[e][p_idx]
-
     def factor_pointers(self, deg: int) -> list:
         """Raw pointer table for one degree (None marks an irreducible)."""
         return self.table[deg]

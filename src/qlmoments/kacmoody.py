@@ -13,23 +13,17 @@ first, so word(alpha) composes like the group element it spells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Root",
-    "cartan_matrix",
-    "cartan_determinant",
     "reflect",
-    "apply_word",
     "simple_root",
     "positive_real_roots_at_level",
     "positive_real_roots_up_to_height",
     "reduction_word",
     "inversion_roots",
     "is_reduced",
-    "wstar_word",
-    "wstar_report",
-    "WstarReport",
 ]
 
 #: Most roots one enumeration may collect; level one alone has 2^r roots.
@@ -69,24 +63,6 @@ def simple_root(i: int, r: int) -> Root:
     return Root(tuple(k))
 
 
-def cartan_matrix(r: int) -> list[list[int]]:
-    if r < 1:
-        raise ValueError("rank parameter must be >= 1")
-    n = r + 1
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = 2
-    for i in range(r):
-        a[i][n - 1] = -1
-        a[n - 1][i] = -1
-    return a
-
-
-def cartan_determinant(r: int) -> int:
-    """Determinant of the star matrix: -2^(r-1) (r-4)."""
-    return -(2 ** (r - 1)) * (r - 4)
-
-
 def reflect(i: int, alpha: Root) -> Root:
     """Fundamental reflection w_i acting on a lattice element (i is 1-based)."""
     r = alpha.rank
@@ -98,13 +74,6 @@ def reflect(i: int, alpha: Root) -> Root:
     else:
         k[r] = -k[r] + sum(k[:r])
     return Root(tuple(k))
-
-
-def apply_word(word: tuple[int, ...], alpha: Root) -> Root:
-    """Apply a word as a group element: rightmost letter acts first."""
-    for i in reversed(word):
-        alpha = reflect(i, alpha)
-    return alpha
 
 
 def positive_real_roots_up_to_height(r: int, max_height: int,
@@ -217,74 +186,3 @@ def is_reduced(word: tuple[int, ...], r: int) -> bool:
     if any(not b.is_positive for b in inv):
         return False
     return len({b.k for b in inv}) == len(word)
-
-
-def wstar_word(r: int) -> tuple[int, ...]:
-    """The composite element w_12 w_13 w_23 with w_ij = w_i w_j w_{r+1} w_i w_j."""
-    if r < 4:
-        raise ValueError("needs rank parameter >= 4")
-
-    def pair(i: int, j: int) -> tuple[int, ...]:
-        return (i, j, r + 1, i, j)
-
-    return pair(1, 2) + pair(1, 3) + pair(2, 3)
-
-
-@dataclass
-class WstarReport:
-    r: int
-    height_bound: int
-    checked: int = 0
-    negative_class: list[Root] = field(default_factory=list)
-    violations: list[Root] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _expected_negative_class(r: int) -> set[tuple[int, ...]]:
-    out: set[tuple[int, ...]] = set()
-    for i in range(3):
-        k = [0] * (r + 1)
-        k[i] = 1
-        out.add(tuple(k))
-    for mask in range(1, 8):
-        k = [0] * (r + 1)
-        for i in range(3):
-            if mask >> i & 1:
-                k[i] = 1
-        k[r] = 1
-        out.add(tuple(k))
-    k = [0] * (r + 1)
-    k[0] = k[1] = k[2] = 1
-    k[r] = 2
-    out.add(tuple(k))
-    return out
-
-
-def wstar_report(r: int, height_bound: int) -> WstarReport:
-    """Classify positive real roots by the sign of their w*-image.
-
-    Roots sent negative must form the explicit eleven-element family
-    supported on nodes {1, 2, 3, r+1}; roots kept positive must satisfy
-    k_1 + k_2 + k_3 <= 6 * (k_4 + ... + k_r).
-    """
-    word = wstar_word(r)
-    expected_neg = _expected_negative_class(r)
-    rep = WstarReport(r=r, height_bound=height_bound)
-    for alpha in positive_real_roots_up_to_height(r, height_bound):
-        rep.checked += 1
-        image = apply_word(word, alpha)
-        if image.is_negative:
-            rep.negative_class.append(alpha)
-            if alpha.k not in expected_neg:
-                rep.violations.append(alpha)
-        elif image.is_positive:
-            head = sum(alpha.k[:3])
-            tail = sum(alpha.k[3:r])
-            if head > 6 * tail:
-                rep.violations.append(alpha)
-        else:
-            rep.violations.append(alpha)  # mixed signs: not a real root image
-    return rep

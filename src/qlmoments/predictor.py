@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "EulerSpec",
     "QuadSpec",
     "euler_product_level_one",
-    "regularized_local_factor",
     "euler_product_regularized",
     "regularized_tail_estimate",
     "secondary_weight_functions",
@@ -60,8 +59,6 @@ __all__ = [
     "moment_prediction",
     "q2_leading_coefficient",
     "regularized_factor_value",
-    "binomial_determinant",
-    "vandermonde_core_integral",
 ]
 
 #: The fourth roots of unity zeta = i^k, k = 0, 2, 1, 3, each mapped to its
@@ -219,14 +216,6 @@ def _sign(r: int) -> int:
     return (-1) ** (r * (r + 1) // 2)
 
 
-def contour_integral(fn, r: int, rho: float, n: int, center: complex = 1.0) -> complex:
-    """(1/(2 pi i))^r times the iterated contour integral of fn over r circles."""
-    total = 0j
-    for w_i, zs, w_rest, _ in _torus(r, n, rho, center):
-        total += w_i * (fn(zs) * w_rest).sum()
-    return complex(total)
-
-
 # ---------------------------------------------------------------------------
 # level-one Euler data
 
@@ -354,15 +343,6 @@ def _root_factor(shared, ze, se: int):
         for j in range(i, 3):
             r3_inv = r3_inv * (1 - avec[i] * avec[j])
     return raw * r3_inv * corr
-
-
-def regularized_local_factor(xis, zeta, a_sign: int, q, e: int):
-    """S_p^reg at an irreducible of degree e; equals 1 + O(|p|^(-3/2)).
-
-    The substitution for general p raises every variable (including zeta)
-    to the e-th power and replaces q by q^e.
-    """
-    return _root_factor(_shared_factor(xis, q, e), zeta**e, a_sign**e)
 
 
 def euler_product_regularized(xis, q, pmax: int) -> tuple[dict, dict]:
@@ -678,47 +658,3 @@ def regularized_factor_value(r: int, t):
         + Fraction(1, 2) * (1 - t) ** (-r) * (1 + 10 * t + 20 * t**2 + 10 * t**3 + t**4)
     return (1 - t) ** ((r * r + 7 * r - 14) // 2) \
         * (1 + t) ** ((r * r + 7 * r - 28) // 2) * bracket
-
-
-def binomial_determinant(r: int) -> int:
-    """det of the binomial matrix [C(2r+1-2j, i-1)], size (r-3); equals (-2)^((r-3)(r-4)/2)."""
-    if r < 4:
-        raise ValueError("needs r >= 4")
-    n = r - 3
-    mat = [[Fraction(comb(2 * r + 1 - 2 * (j + 1), i)) for j in range(n)]
-           for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if mat[row][col]:
-                pivot = row
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for row in range(col + 1, n):
-            f = mat[row][col] * inv
-            if f:
-                for j in range(col, n):
-                    mat[row][j] -= f * mat[col][j]
-    assert det.denominator == 1
-    return int(det)
-
-
-def vandermonde_core_integral(n: int = 64, rho: float = 0.1) -> complex:
-    """The constant triple contour integral in the leading-term computation."""
-
-    def fn(xs):
-        x1, x2, x3 = xs
-        out = (x1 + 2) * (x2 + 2) * (x3 + 2)
-        pairs = ((x1, x2), (x1, x3), (x2, x3))
-        for a, b in pairs:
-            out = out * (a - b) ** 2 * (a * b + a + b) ** 2
-        return out / (x1**5 * x2**5 * x3**5)
-
-    return contour_integral(fn, 3, rho, n, center=0.0)

@@ -6,21 +6,29 @@ predictor._q1_kernel and predictor._q2_kernel, so the lemma tests check
 the integrands the predictions use.  The central values L(1/2, chi_d) are
 summed in K term by term, apart from the integer pair the moment oracle
 powers.
+
+It also keeps what only the tests use: the Cartan matrix and the w* sign
+report, the constant contour integrals and exact determinants, the word
+action on coordinates, the constant matrices B and B^(-1), the factor
+sieve's smallest factor and the per-degree regularized local factor.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterator
 
 from qlmoments import lfunc
 from qlmoments import predictor as pr
+from qlmoments.cocycle import act_one
 from qlmoments.exactnum import KNum, l_at_half_unit, zeta_at_half
 from qlmoments.ffpoly import (FactorSieve, FqPoly, _is_squarefree, _mod, _mul,
-                              _require_modulus, irreducible_count,
-                              monic_from_index, symbol_raw)
+                              _require_modulus, index_of_monic,
+                              irreducible_count, monic_from_index, symbol_raw)
+from qlmoments.kacmoody import Root, positive_real_roots_up_to_height, reflect
 
 # ---------------------------------------------------------------------------
 # level-one Euler data
@@ -71,6 +79,15 @@ def local_moment_factor(xis, q, e: int):
 # level-two Euler data
 
 
+def regularized_local_factor(xis, zeta, a_sign: int, q, e: int):
+    """S_p^reg at an irreducible of degree e; equals 1 + O(|p|^(-3/2)).
+
+    The substitution for general p raises every variable (including zeta)
+    to the e-th power and replaces q by q^e.
+    """
+    return pr._root_factor(pr._shared_factor(xis, q, e), zeta**e, a_sign**e)
+
+
 def euler_product_regularized_per_root(xis, q, pmax: int) -> dict:
     """{zeta: truncated regularized product}, root by root: every degree-e
     factor is evaluated and raised to its count once per root, 4 * pmax
@@ -85,7 +102,7 @@ def euler_product_regularized_per_root(xis, q, pmax: int) -> dict:
     for zeta, a_sign in pr.ZETA_FOURTH.items():
         prod = 1
         for e in range(1, pmax + 1):
-            prod *= pr.regularized_local_factor(
+            prod *= regularized_local_factor(
                 xis, zeta, a_sign, q, e) ** irreducible_count(q, e)
         out[zeta] = prod
     return out
@@ -269,6 +286,68 @@ def rank3_local_poly_x1_coeffs(n_terms: int = 14) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# contour integrals and exact determinants
+
+
+def contour_integral(fn, r: int, rho: float, n: int, center: complex = 1.0) -> complex:
+    """(1/(2 pi i))^r times the iterated contour integral of fn over r circles."""
+    total = 0j
+    for w_i, zs, w_rest, _ in pr._torus(r, n, rho, center):
+        total += w_i * (fn(zs) * w_rest).sum()
+    return complex(total)
+
+
+def vandermonde_core_integral(n: int = 64, rho: float = 0.1) -> complex:
+    """The constant triple contour integral in the leading-term computation."""
+
+    def fn(xs):
+        x1, x2, x3 = xs
+        out = (x1 + 2) * (x2 + 2) * (x3 + 2)
+        pairs = ((x1, x2), (x1, x3), (x2, x3))
+        for a, b in pairs:
+            out = out * (a - b) ** 2 * (a * b + a + b) ** 2
+        return out / (x1**5 * x2**5 * x3**5)
+
+    return contour_integral(fn, 3, rho, n, center=0.0)
+
+
+def exact_det(mat) -> int:
+    """Determinant of a square integer matrix by Fraction elimination."""
+    mat = [[Fraction(v) for v in row] for row in mat]
+    n = len(mat)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = None
+        for row in range(col, n):
+            if mat[row][col]:
+                pivot = row
+                break
+        if pivot is None:
+            return 0
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for row in range(col + 1, n):
+            f = mat[row][col] * inv
+            if f:
+                for j in range(col, n):
+                    mat[row][j] -= f * mat[col][j]
+    assert det.denominator == 1
+    return int(det)
+
+
+def binomial_determinant(r: int) -> int:
+    """det of the binomial matrix [C(2r+1-2j, i-1)], size (r-3); equals (-2)^((r-3)(r-4)/2)."""
+    if r < 4:
+        raise ValueError("needs r >= 4")
+    n = r - 3
+    return exact_det([[comb(2 * r + 1 - 2 * (j + 1), i) for j in range(n)]
+                      for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
 # residue-sum vs contour-integral identities
 
 
@@ -309,7 +388,7 @@ def symmetric_pair_integral(h, a: list[complex], rho: float, n: int) -> complex:
     def fn(zs):
         return h(zs) * pr._q1_kernel(zs) * _moved_poles(zs, a)
 
-    return pr._sign(r) / factorial(r) * pr.contour_integral(fn, r, rho, n)
+    return pr._sign(r) / factorial(r) * contour_integral(fn, r, rho, n)
 
 
 def permuted_kernel_sum(h, a: list[complex], m: int) -> complex:
@@ -343,11 +422,139 @@ def permuted_kernel_integral(h, a: list[complex], m: int, rho: float,
     def fn(zs):
         return h(zs) * pr._q2_kernel(zs, m) * _moved_poles(zs, a)
 
-    return pr._sign(r) * pr.contour_integral(fn, r, rho, n)
+    return pr._sign(r) * contour_integral(fn, r, rho, n)
 
 
 # ---------------------------------------------------------------------------
-# quadratic symbol and monic enumeration
+# root combinatorics and the word action
+
+
+def cartan_matrix(r: int) -> list[list[int]]:
+    """The star-shaped generalized Cartan matrix of size (r+1) x (r+1)."""
+    if r < 1:
+        raise ValueError("rank parameter must be >= 1")
+    n = r + 1
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = 2
+    for i in range(r):
+        a[i][n - 1] = -1
+        a[n - 1][i] = -1
+    return a
+
+
+def apply_word(word: tuple[int, ...], alpha: Root) -> Root:
+    """Apply a word as a group element: rightmost letter acts first."""
+    for i in reversed(word):
+        alpha = reflect(i, alpha)
+    return alpha
+
+
+def wstar_word(r: int) -> tuple[int, ...]:
+    """The composite element w_12 w_13 w_23 with w_ij = w_i w_j w_{r+1} w_i w_j."""
+    if r < 4:
+        raise ValueError("needs rank parameter >= 4")
+
+    def pair(i: int, j: int) -> tuple[int, ...]:
+        return (i, j, r + 1, i, j)
+
+    return pair(1, 2) + pair(1, 3) + pair(2, 3)
+
+
+@dataclass
+class WstarReport:
+    r: int
+    height_bound: int
+    checked: int = 0
+    negative_class: list[Root] = field(default_factory=list)
+    violations: list[Root] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def _expected_negative_class(r: int) -> set[tuple[int, ...]]:
+    out: set[tuple[int, ...]] = set()
+    for i in range(3):
+        k = [0] * (r + 1)
+        k[i] = 1
+        out.add(tuple(k))
+    for mask in range(1, 8):
+        k = [0] * (r + 1)
+        for i in range(3):
+            if mask >> i & 1:
+                k[i] = 1
+        k[r] = 1
+        out.add(tuple(k))
+    k = [0] * (r + 1)
+    k[0] = k[1] = k[2] = 1
+    k[r] = 2
+    out.add(tuple(k))
+    return out
+
+
+def wstar_report(r: int, height_bound: int) -> WstarReport:
+    """Classify positive real roots by the sign of their w*-image.
+
+    Roots sent negative must form the explicit eleven-element family
+    supported on nodes {1, 2, 3, r+1}; roots kept positive must satisfy
+    k_1 + k_2 + k_3 <= 6 * (k_4 + ... + k_r).
+    """
+    word = wstar_word(r)
+    expected_neg = _expected_negative_class(r)
+    rep = WstarReport(r=r, height_bound=height_bound)
+    for alpha in positive_real_roots_up_to_height(r, height_bound):
+        rep.checked += 1
+        image = apply_word(word, alpha)
+        if image.is_negative:
+            rep.negative_class.append(alpha)
+            if alpha.k not in expected_neg:
+                rep.violations.append(alpha)
+        elif image.is_positive:
+            head = sum(alpha.k[:3])
+            tail = sum(alpha.k[3:r])
+            if head > 6 * tail:
+                rep.violations.append(alpha)
+        else:
+            rep.violations.append(alpha)  # mixed signs: not a real root image
+    return rep
+
+
+def act_on_z(word: tuple[int, ...], z: tuple, q, sqrt_q) -> tuple:
+    """Apply a word as a group element (rightmost letter first)."""
+    for i in reversed(word):
+        z = act_one(i, z, q, sqrt_q)
+    return z
+
+
+def b_matrix(half):
+    one = half + half
+    zero = half - half
+    return ((half, half, zero), (half, -half, zero), (-half, half, one))
+
+
+def b_inverse_matrix(one):
+    zero = one - one
+    return ((one, one, zero), (one, -one, zero), (zero, one, one))
+
+
+# ---------------------------------------------------------------------------
+# factor sieve, quadratic symbol and monic enumeration
+
+
+def smallest_factor(sieve: FactorSieve, c: tuple[int, ...]) -> tuple[int, ...]:
+    """The smallest monic irreducible factor of c, from the sieve's tables."""
+    deg = len(c) - 1
+    if deg < 1:
+        raise ValueError("constant polynomial has no irreducible factor")
+    if deg > sieve.max_deg:
+        raise ValueError("degree beyond sieve range")
+    ent = sieve.factor_pointers(deg)[index_of_monic(c, sieve.q)]
+    if ent is None:
+        return c
+    e, p_idx, _, _ = ent
+    return sieve.irreducibles(e)[p_idx]
 
 
 def symbol_euler(d: tuple[int, ...], p: tuple[int, ...], q: int) -> int:

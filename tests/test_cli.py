@@ -259,12 +259,6 @@ def test_verify_json_names_the_second_term_radius():
     assert two["rho_q2"] == predictor.Q2_QUAD.rho
 
 
-def test_selftest_passes():
-    p = run_cli("selftest")
-    assert p.returncode == 0
-    assert "FAIL" not in p.stdout
-
-
 def assert_one_line_error(p):
     assert p.returncode == 2
     assert p.stdout == ""

@@ -113,13 +113,13 @@ class TestSieveAndEnumeration:
 
     def test_sieve_reconstructs_products(self, sieve5):
         q = 5
-        for deg in (2, 3, 4):
+        for deg in (1, 2, 3, 4):
             for idx in range(q**deg):
                 c = monic_from_index(q, deg, idx)
                 rebuilt = (1,)
                 rest = c
                 while len(rest) > 1:
-                    p = sieve5.smallest_factor_raw(rest)
+                    p = oracles.smallest_factor(sieve5, rest)
                     quo, rem = ffpoly._divmod(rest, p, q)
                     assert rem == ()
                     rebuilt = ffpoly._mul(rebuilt, p, q)
@@ -128,7 +128,7 @@ class TestSieveAndEnumeration:
 
     def test_irreducibles_map_to_themselves(self, sieve5):
         p = sieve5.irreducibles(3)[7]
-        assert sieve5.smallest_factor_raw(p) == p
+        assert oracles.smallest_factor(sieve5, p) == p
 
     def test_memory_guard(self):
         # ~3.05e8 cells, above CELL_BUDGET = 5e7; raised before any allocation

