@@ -255,10 +255,6 @@ class FqPoly:
         return cls(_trim([c % q for c in coeffs]), q)
 
     @classmethod
-    def x(cls, q: int) -> "FqPoly":
-        return cls((0, 1), q)
-
-    @classmethod
     def constant(cls, c: int, q: int) -> "FqPoly":
         return cls.make([c], q)
 
@@ -296,9 +292,6 @@ class FqPoly:
     def __divmod__(self, other: "FqPoly"):
         quo, rem = _divmod(self.coeffs, other.coeffs, self.q)
         return FqPoly(quo, self.q), FqPoly(rem, self.q)
-
-    def gcd(self, other: "FqPoly") -> "FqPoly":
-        return FqPoly(_gcd(self.coeffs, other.coeffs, self.q), self.q)
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -18,10 +18,10 @@ at once: a degree-e factor depends on zeta only through sgn(a)^e, so it is
 evaluated once per (e, sgn(a)^e), 18 of 48 at pmax = 12, with its
 zeta-independent half once per degree.  All contour quadrature is the
 trapezoid rule on circles (spectrally accurate for these analytic
-integrands), and every r-fold integral walks the one grid generator
-_torus, for every r >= 1.  The rule on n // 2 nodes per circle reads the
-even-index nodes of the n-node grid, so one grid pass yields both cutoffs
-and both grids.
+integrands), and both coefficients are summed by one accumulator,
+_grid_sums, over the one grid generator _torus, for every r >= 1.  The
+rule on n // 2 nodes per circle reads the even-index nodes of the n-node
+grid, so one grid pass yields both cutoffs and both grids.
 Both coefficients are reported as a Coefficient record: the value, its
 relative imaginary residue, and its relative change from cutoff pmax to
 pmax // 2 (the truncation tail) and from the grid to its even-index half
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "q1_profile",
     "Coefficient",
     "q2_coefficient",
-    "q2_profile",
     "q2_term_profile",
     "moment_prediction",
     "q2_leading_coefficient",
@@ -124,21 +123,12 @@ def _relative_change(val: complex, other: complex) -> float:
 level_one_tail_estimate = regularized_tail_estimate = _relative_change
 
 
-def _refine_delta(val: complex, half: complex, quad: QuadSpec, refine: bool):
-    """The relative change from val to its half-grid value half, or None
-    when refine is off or the half grid has fewer than MIN_REFINE_POINTS
-    nodes per circle."""
-    if not refine or quad.n_points // 2 < MIN_REFINE_POINTS:
-        return None
-    return _relative_change(val, half)
-
-
 @dataclass(frozen=True)
 class Coefficient:
     """A predicted coefficient Q1(D, q) or Q2(D, q) with its error diagnostics.
 
     note flags a Q1 rank outside the prediction's range; by_zeta holds the
-    per-root pieces of Q2 (see q2_profile).
+    per-root pieces of Q2 (see q2_term_profile).
     """
 
     q: int
@@ -152,11 +142,19 @@ class Coefficient:
     by_zeta: dict = field(default_factory=dict)
 
     @classmethod
-    def of(cls, q: int, r: int, D: int, val: complex, tail: float,
-           delta: float | None, **extra) -> "Coefficient":
+    def of(cls, q: int, r: int, D: int, values, quad: QuadSpec, refine: bool,
+           tail_estimate, **extra) -> "Coefficient":
+        """The record of a profile entry (lower, val, half); the refinement
+        delta is None when refine is off or the half grid has fewer than
+        MIN_REFINE_POINTS nodes per circle."""
+        lower, val, half = values
+        delta = None
+        if refine and quad.n_points // 2 >= MIN_REFINE_POINTS:
+            delta = _relative_change(val, half)
         return cls(q=q, r=r, D=D, value=val.real,
                    imag_rel=abs(val.imag) / max(abs(val), 1e-300),
-                   tail_estimate=tail, refine_delta=delta, **extra)
+                   tail_estimate=tail_estimate(val, lower),
+                   refine_delta=delta, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ def _torus(r: int, n: int, rho: float, center: complex = 1.0):
     k = max(r - 1, 1)
     shapes = [[n if b == a else 1 for b in range(k)] for a in range(k)]
     views = [nodes.reshape(shape) for shape in shapes]
-    w_rest = _product([w.reshape(shape) for shape in shapes])
+    w_rest = prod([w.reshape(shape) for shape in shapes])
     sub = (slice(None, None, 2),) * k
     for lead in itertools.product(range(n), repeat=r - k):
         half = None if any(i % 2 for i in lead) else sub
@@ -196,11 +194,36 @@ def _torus(r: int, n: int, rho: float, center: complex = 1.0):
                w_rest, half)
 
 
-def _product(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out
+#: Most grid points n_points^r that one contour sum may walk.  Time grows
+#: with the points and memory with a slice of them (n_points^(r - 1)); the
+#: largest grid in use, r = 4 on 64 nodes, has 2^24 points.
+GRID_BUDGET = 2**24
+
+
+def _grid_sums(r: int, quad: QuadSpec, slice_pieces) -> dict:
+    """The trapezoid sums of every integrand piece over the r-fold grid.
+
+    slice_pieces(zs, w_rest) gives the pieces of one slice of _torus as
+    (key, damp, cores), one core per Euler cutoff (pmax // 2, then pmax);
+    cores carry the slice weight w_rest.  Returns {key: (sum at pmax // 2,
+    sum at pmax, sum at pmax on the half grid)}, each the sum over slices of
+    w_i * (core * damp).sum(), the last over the even-index nodes and scaled
+    by 2^r (see _torus).
+    """
+    n = quad.n_points
+    if n**r > GRID_BUDGET:
+        raise ValueError(f"{n}^{r} grid points exceed the budget of "
+                         f"{GRID_BUDGET}")
+    acc = {}
+    for w_i, zs, w_rest, half in _torus(r, n, quad.rho):
+        for key, damp, cores in slice_pieces(zs, w_rest):
+            sums = acc.setdefault(key, [0j, 0j, 0j])
+            for k, core in enumerate(cores):
+                sums[k] += w_i * (core * damp).sum()
+            if half is not None:  # core is the pmax one
+                sums[2] += w_i * (core[half] * damp[half]).sum()
+    return {key: (lower, val, 2**r * half)
+            for key, (lower, val, half) in acc.items()}
 
 
 def _degrees(degrees) -> list[int]:
@@ -410,59 +433,55 @@ def _q1_kernel(zs):
     return out
 
 
-def _q1_slices(q: int, r: int, euler: EulerSpec, quad: QuadSpec):
-    """The Q1 integrand slice by slice: (w_i, cores, prod z, half), with one
-    (base, extra) core per Euler cutoff, pmax // 2 and then pmax, and half
-    from _torus.
+def _q1_cores(zs, w_rest, q: int, pmax: int) -> list:
+    """The Q1 integrand on one slice: one (base, extra) core per Euler
+    cutoff, pmax // 2 and then pmax.
 
     base is A times the kernel times w_rest; extra is base times
     prod (1 - sqrt(q) z), the core of the even degrees.
     """
     sq = q**0.5
-    for w_i, zs, w_rest, half in _torus(r, quad.n_points, quad.rho):
-        kern = _q1_kernel(zs) * w_rest
-        cores = []
-        for euler_product in euler_product_level_one(zs, q, euler.pmax):
-            base = euler_product * kern
-            extra = base
-            for z in zs:
-                extra = extra * (1 - sq * z)
-            cores.append((base, extra))
-        yield w_i, cores, _product(zs), half
+    kern = _q1_kernel(zs) * w_rest
+    cores = []
+    for euler_product in euler_product_level_one(zs, q, pmax):
+        base = euler_product * kern
+        extra = base
+        for z in zs:
+            extra = extra * (1 - sq * z)
+        cores.append((base, extra))
+    return cores
 
 
 def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
                quad: QuadSpec = QuadSpec()
                ) -> dict[int, tuple[complex, complex, complex]]:
     """{D: (Q1 at Euler cutoff pmax // 2, Q1 at pmax, Q1 at pmax on the
-    half grid)} for every degree in the list, sharing one grid pass."""
+    half grid)} for every degree in the list, sharing one grid pass; each
+    slice forms the damping prod(z)^(-(D // 2)) once per degree."""
     _require_modulus(q)
     if r < 1:
         raise ValueError("need r >= 1")
     degrees = _degrees(degrees)
-    acc = {d: [0j, 0j, 0j] for d in degrees}
-    for w_i, cores, prodz, half in _q1_slices(q, r, euler, quad):
+
+    def pieces(zs, w_rest):
+        cores = _q1_cores(zs, w_rest, q, euler.pmax)
+        prodz = prod(zs)
         for d in degrees:
-            for k, (base, extra) in enumerate(cores):
-                core = extra if d % 2 == 0 else base
-                acc[d][k] += w_i * (core * prodz ** (-(d // 2))).sum()
-            if half is not None:  # core is the pmax one
-                acc[d][2] += w_i * (core[half] * prodz[half] ** (-(d // 2))).sum()
+            yield d, prodz ** (-(d // 2)), [extra if d % 2 == 0 else base
+                                            for base, extra in cores]
+
+    sums = _grid_sums(r, quad, pieces)
     pref_even = (1 - 1 / q) * (1 - q**0.5) ** (-r) * _sign(r) / factorial(r)
     pref_odd = (1 - 1 / q) * _sign(r) / factorial(r)
-    return {
-        d: tuple(complex((pref_even if d % 2 == 0 else pref_odd) * v)
-                 for v in (acc[d][0], acc[d][1], 2**r * acc[d][2]))
-        for d in degrees
-    }
+    return {d: tuple(complex((pref_even if d % 2 == 0 else pref_odd) * v)
+                     for v in sums[d])
+            for d in degrees}
 
 
 def q1_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
                    quad: QuadSpec = QuadSpec(), refine: bool = True) -> Coefficient:
-    lower, val, half = q1_profile(q, r, [D], euler, quad)[D]
-    tail = level_one_tail_estimate(val, lower)
-    delta = _refine_delta(val, half, quad, refine)
-    return Coefficient.of(q, r, D, val, tail, delta, note=_q2_rank_note(r))
+    return Coefficient.of(q, r, D, q1_profile(q, r, [D], euler, quad)[D], quad,
+                          refine, level_one_tail_estimate, note=_q2_rank_note(r))
 
 
 # ---------------------------------------------------------------------------
@@ -506,23 +525,22 @@ Q2_QUAD = QuadSpec(rho=0.05, n_points=64)
 
 def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
                     quad: QuadSpec = Q2_QUAD) -> dict:
-    """The two D-indexed contour integrals of the level-two machinery.
+    """{D: {zeta: (piece at Euler cutoff pmax // 2, piece at pmax, piece at
+    pmax on the half grid)}} with Q2(D, q) = sum over zeta of zeta^D * piece.
 
-    Returns {D: {zeta: ((first, second) at Euler cutoff pmax // 2,
-    (first, second) at pmax, (first, second) at pmax on the half grid)}}
-    for every fourth root of unity zeta, in ZETA_FOURTH order; one grid
-    pass serves all roots, degrees, both cutoffs and both grids.  Each
-    slice forms the root-independent kernel once and each damping power
-    once per degree, shared by the four roots.
+    A piece is norm * ((1 - sqrt q)^(-r) * first + second) from the two
+    D-indexed contour integrals of the level-two machinery.  One grid pass
+    serves all roots, in ZETA_FOURTH order, degrees, both cutoffs and both
+    grids.  Each slice forms the root-independent kernel once and each
+    damping power once per degree, shared by the four roots.
     """
     _require_modulus(q)
     if note := _q2_rank_note(r):
         raise ValueError(f"the level-two coefficient is {note}")
     degrees = _degrees(degrees)
-    acc = {d: {zeta: [[0j, 0j], [0j, 0j], [0j, 0j]] for zeta in ZETA_FOURTH}
-           for d in degrees}
-    for w_i, zs, w_rest, half in _torus(r, quad.n_points, quad.rho):
-        tailprod = _product(zs[3:])
+
+    def pieces(zs, w_rest):
+        tailprod = prod(zs[3:])
         cutoffs = euler_product_regularized(zs, q, euler.pmax)
         kern = _q2_kernel(zs, 3) * w_rest
         cores = {}
@@ -533,49 +551,29 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
         for d in degrees:
             damp = tailprod ** (-d)
             for zeta, per_cutoff in cores.items():
-                for sums, (core1, core2) in zip(acc[d][zeta], per_cutoff):
-                    sums[0] += w_i * (core1 * damp).sum()
-                    sums[1] += w_i * (core2 * damp).sum()
-                if half is not None:  # core1, core2 are the pmax ones
-                    half_sums = acc[d][zeta][2]
-                    half_sums[0] += w_i * (core1[half] * damp[half]).sum()
-                    half_sums[1] += w_i * (core2[half] * damp[half]).sum()
+                for j in (0, 1):  # first, second
+                    yield (d, zeta, j), damp, [pair[j] for pair in per_cutoff]
+
+    sums = _grid_sums(r, quad, pieces)
     sign = _sign(r)
-    scales = (sign, sign, sign * 2**r)
-    return {d: {zeta: tuple((complex(scale * first), complex(scale * second))
-                            for scale, (first, second) in zip(scales, per_grid))
-                for zeta, per_grid in pieces.items()}
-            for d, pieces in acc.items()}
-
-
-def q2_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
-               quad: QuadSpec = Q2_QUAD) -> dict:
-    """{D: {zeta: (piece at Euler cutoff pmax // 2, piece at pmax, piece at
-    pmax on the half grid)}} with Q2(D, q) = sum over zeta of zeta^D * piece.
-
-    One q2_term_profile grid pass, shared across all roots and degrees; the
-    pieces come in ZETA_FOURTH order.
-    """
-    terms = q2_term_profile(q, r, degrees, euler, quad)
     norm = 1 / (2**5 * 6 * factorial(r - 3))
-    return {
-        D: {zeta: tuple(norm * ((1 - q**0.5) ** (-r) * first + second)
-                        for first, second in per_cutoff)
-            for zeta, per_cutoff in pieces.items()}
-        for D, pieces in terms.items()
-    }
+    return {d: {zeta: tuple(norm * ((1 - q**0.5) ** (-r) * complex(sign * first)
+                                    + complex(sign * second))
+                            for first, second in zip(sums[d, zeta, 0],
+                                                     sums[d, zeta, 1]))
+                for zeta in ZETA_FOURTH}
+            for d in degrees}
 
 
 def q2_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
                    quad: QuadSpec = Q2_QUAD, refine: bool = True) -> Coefficient:
     """Q2(D, q): the coefficient of q^(3D/4) in the moment prediction."""
-    by_zeta = q2_profile(q, r, [D], euler, quad)[D]
-    lower, val, half = (sum(zeta**D * pieces[k] for zeta, pieces in by_zeta.items())
-                        for k in range(3))
-    tail = regularized_tail_estimate(val, lower)
-    delta = _refine_delta(val, half, quad, refine)
+    by_zeta = q2_term_profile(q, r, [D], euler, quad)[D]
+    values = [sum(zeta**D * pieces[k] for zeta, pieces in by_zeta.items())
+              for k in range(3)]
     at_pmax = {zeta: pieces[1] for zeta, pieces in by_zeta.items()}
-    return Coefficient.of(q, r, D, val, tail, delta, by_zeta=at_pmax)
+    return Coefficient.of(q, r, D, values, quad, refine,
+                          regularized_tail_estimate, by_zeta=at_pmax)
 
 
 def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
@@ -595,7 +593,7 @@ def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
     preds = {D: q1[D][1].real * q**D for D in degrees}
     if n_terms == 2:
         quad2 = QuadSpec(rho=Q2_QUAD.rho, n_points=quad.n_points)
-        for D, pieces in q2_profile(q, r, degrees, euler, quad2).items():
+        for D, pieces in q2_term_profile(q, r, degrees, euler, quad2).items():
             for zeta, (_, piece, _) in pieces.items():
                 preds[D] += (zeta**D * piece).real * q ** (0.75 * D)
     return preds

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator
 
 from qlmoments import lfunc
@@ -115,13 +115,16 @@ def q2_term_profile_per_root(q: int, r: int, degrees, euler: pr.EulerSpec,
     tailprod^(-D) once per (root, cutoff, D), where the production loop forms
     the kernel once per slice and each power once per (slice, D).  The
     half-grid entry comes from a walk of its own on n_points // 2 nodes,
-    where the production loop reads the even-index nodes of its one walk."""
+    where the production loop reads the even-index nodes of its one walk.
+    Each piece is norm * ((1 - sqrt q)^(-r) * first + second)."""
     degrees = sorted(set(degrees))
     cutoffs = _q2_per_root_walk(q, r, degrees, euler, quad)
     halved = _q2_per_root_walk(q, r, degrees, euler,
                                pr.QuadSpec(quad.rho, quad.n_points // 2))
     sign = pr._sign(r)
-    return {d: {zeta: tuple((complex(sign * first), complex(sign * second))
+    norm = 1 / (2**5 * 6 * factorial(r - 3))
+    return {d: {zeta: tuple(norm * ((1 - q**0.5) ** (-r) * complex(sign * first)
+                                    + complex(sign * second))
                             for first, second in (*per_cutoff, halved[d][zeta][1]))
                 for zeta, per_cutoff in pieces.items()}
             for d, pieces in cutoffs.items()}
@@ -133,7 +136,7 @@ def _q2_per_root_walk(q, r, degrees, euler, quad) -> dict:
     acc = {d: {zeta: [[0j, 0j], [0j, 0j]] for zeta in pr.ZETA_FOURTH}
            for d in degrees}
     for w_i, zs, w_rest, _ in pr._torus(r, quad.n_points, quad.rho):
-        tailprod = pr._product(zs[3:])
+        tailprod = prod(zs[3:])
         cutoffs = pr.euler_product_regularized(zs, q, euler.pmax)
         for zeta in pr.ZETA_FOURTH:
             g1, g2 = pr.secondary_weight_functions(zs, zeta, q)
@@ -174,8 +177,9 @@ def q1_coefficient_circle(q: int, r: int, D: int,
     sq = q**0.5
     xi_nodes, xi_w = pr._circle(n_xi, q ** (-2.0), center=0.0)
     out = 0j
-    for w_i, cores, prodz, _ in pr._q1_slices(q, r, euler, quad):
-        base, extra = cores[1]
+    for w_i, zs, w_rest, _ in pr._torus(r, quad.n_points, quad.rho):
+        base, extra = pr._q1_cores(zs, w_rest, q, euler.pmax)[1]
+        prodz = prod(zs)
         for xi, wx in zip(xi_nodes, xi_w):
             pole = 1 / (1 - q**2 * xi**2 / prodz)
             piece = ((1 - sq) ** (-r)) * extra * pole + q * xi * base * pole

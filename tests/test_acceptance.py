@@ -216,7 +216,7 @@ def test_criterion_10_q2_structure():
     quad = pr.Q2_QUAD
     degrees = list(range(20, 41))
     pieces = {D: {zeta: pair[1] for zeta, pair in by_zeta.items()}  # at pmax
-              for D, by_zeta in pr.q2_profile(q, r, degrees, euler, quad).items()}
+              for D, by_zeta in pr.q2_term_profile(q, r, degrees, euler, quad).items()}
 
     # degree-7 fit per class: each root-of-unity piece is a polynomial in D.
     # The sgn(a) = +1 pieces (zeta = +-1) are real, so their imaginary part

@@ -299,6 +299,19 @@ def test_verify_over_budget_fails_before_the_prediction():
     assert "budget" in p.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("predict", "q1", "--D", "4", "--r", "40", "--quad", "4"),
+    ("predict", "q2", "--D", "4", "--r", "40", "--quad", "4"),
+    ("predict", "q1", "--D", "4", "--r", "5", "--quad", "64"),
+    ("verify", "--r", "40", "--quad", "4"),
+])
+def test_grid_over_budget_fails_before_any_allocation(args):
+    # 4^40 points would ask numpy for 16 GiB on the first slice
+    p = run_cli(*args, timeout=30)
+    assert_one_line_error(p)
+    assert "budget" in p.stderr
+
+
 def test_predict_rejects_composite_modulus():
     p = run_cli("predict", "q1", "--q", "9", "--D", "4", "--quad", "16",
                 "--pmax", "6")

@@ -439,10 +439,10 @@ class TestQ2:
         res = pr.q2_coefficient(Q, 4, 4, pr.EulerSpec(6), pr.QuadSpec(0.05, 8))
         assert res.refine_delta is None
 
-    def test_coefficient_is_assembled_by_q2_profile(self):
+    def test_coefficient_is_assembled_by_q2_term_profile(self):
         euler, quad = pr.EulerSpec(6), pr.QuadSpec(0.05, 8)
         res = pr.q2_coefficient(Q, 4, 5, euler, quad)
-        pieces = pr.q2_profile(Q, 4, [4, 5], euler, quad)
+        pieces = pr.q2_term_profile(Q, 4, [4, 5], euler, quad)
         assert list(pieces) == [4, 5]
         assert list(res.by_zeta) == list(pr.ZETA_FOURTH)
         assert res.by_zeta == {z: p[1] for z, p in pieces[5].items()}
@@ -457,7 +457,8 @@ class TestQ2:
             return torus(*args, **kwargs)
 
         monkeypatch.setattr(pr, "_torus", counted)
-        pieces = pr.q2_profile(Q, 4, [4, 5], pr.EulerSpec(6), pr.QuadSpec(0.05, 8))
+        pieces = pr.q2_term_profile(Q, 4, [4, 5], pr.EulerSpec(6),
+                                    pr.QuadSpec(0.05, 8))
         assert len(walks) == 1
         assert all(list(pieces[D]) == list(pr.ZETA_FOURTH) for D in (4, 5))
         # a coefficient reads its refinement delta off the same walk
@@ -467,6 +468,10 @@ class TestQ2:
             res = coefficient(Q, 4, 5, pr.EulerSpec(6), pr.QuadSpec(rho, 16))
             assert len(walks) == 1
             assert res.refine_delta is not None
+        # a two-term prediction walks one grid per radius, each n^r points
+        walks.clear()
+        pr.moment_prediction(Q, 4, [4, 5], 2, pr.EulerSpec(6), pr.QuadSpec(0.1, 8))
+        assert walks == [(4, 8, 0.1), (4, 8, pr.Q2_QUAD.rho)]
 
     def test_leading_coefficient_pieces(self):
         lead = pr.q2_leading_coefficient(Q, 4, pr.EulerSpec(8))
@@ -476,6 +481,35 @@ class TestQ2:
         assert abs(lead["zeta^2"].imag) < 1e-24
         assert abs(lead["zeta^1"] - lead["zeta^3"].conjugate()) < 1e-22
         assert abs(lead["even"] - (lead["zeta^0"] + lead["zeta^2"])) < 1e-24
+
+
+class TestGridBudget:
+    """Every contour sum checks GRID_BUDGET before its grid walk starts."""
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid walk started")
+
+        monkeypatch.setattr(pr, "_torus", refuse)
+
+    @pytest.mark.parametrize("call", [
+        lambda: pr.q1_profile(Q, 13, [4], pr.EulerSpec(6), pr.QuadSpec(0.1, 4)),
+        lambda: pr.q1_coefficient(Q, 40, 4, pr.EulerSpec(6), pr.QuadSpec(0.1, 4)),
+        lambda: pr.q2_coefficient(Q, 5, 4, pr.EulerSpec(6), pr.QuadSpec(0.05, 64)),
+        lambda: pr.moment_prediction(Q, 7, [4], 2, pr.EulerSpec(6),
+                                     pr.QuadSpec(0.1, 16)),
+    ])
+    def test_over_budget_is_refused_before_the_walk(self, no_walk, call):
+        with pytest.raises(ValueError, match="budget"):
+            call()
+
+    def test_budget_is_inclusive(self, monkeypatch, no_walk):
+        monkeypatch.setattr(pr, "GRID_BUDGET", 4**4)
+        with pytest.raises(AssertionError, match="walk started"):
+            pr.q1_profile(Q, 4, [4], pr.EulerSpec(6), pr.QuadSpec(0.1, 4))
+        with pytest.raises(ValueError, match="budget"):
+            pr.q1_profile(Q, 5, [4], pr.EulerSpec(6), pr.QuadSpec(0.1, 4))
 
 
 class TestHalfGrid:
@@ -541,7 +575,8 @@ class TestMomentPrediction:
                                        self.EULER, self.QUAD)
             assert got == pr.moment_prediction(Q, 4, [3, 4], n_terms,
                                                self.EULER, self.QUAD)
-        pieces = pr.q2_profile(Q, 4, (D for D in [3, 4]), self.EULER, self.QUAD)
+        pieces = pr.q2_term_profile(Q, 4, (D for D in [3, 4]), self.EULER,
+                                    self.QUAD)
         assert sorted(pieces) == [3, 4]
 
     def test_rejects_bad_term_count_before_any_grid_pass(self):
