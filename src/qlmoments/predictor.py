@@ -13,15 +13,18 @@ Two pipelines are implemented on top of the cocycle module:
   of unity zeta (each fixes its sign sgn(a) = zeta^2, see ZETA_FOURTH).
 
 Euler products are truncated at a degree cutoff pmax and also return their
-running value at pmax // 2.  The level-two product serves all four roots
-at once: a degree-e factor depends on zeta only through sgn(a)^e, so it is
-evaluated once per (e, sgn(a)^e), 18 of 48 at pmax = 12, with its
-zeta-independent half once per degree.  All contour quadrature is the
-trapezoid rule on circles (spectrally accurate for these analytic
-integrands), and both coefficients are summed by one accumulator,
-_grid_sums, over the one grid generator _torus, for every r >= 1.  The
-rule on n // 2 nodes per circle reads the even-index nodes of the n-node
-grid, so one grid pass yields both cutoffs and both grids.
+running value at pmax // 2.  Both are summed in log form, count times the
+log of each degree's factor with one exp per cutoff, and every log is
+_clog1p of the factor minus 1, built from real ufuncs with no branch.  The
+level-two product serves all four roots at once: a degree-e factor depends
+on zeta only through sgn(a)^e, so it is evaluated once per (e, sgn(a)^e),
+18 of 48 at pmax = 12, with its zeta-independent half once per degree.
+All contour quadrature is the trapezoid rule on circles (spectrally
+accurate for these analytic integrands), and both coefficients are summed
+by one accumulator, _grid_sums, over the one grid generator _torus, for
+every r >= 1.  The rule on n // 2 nodes per circle reads the even-index
+nodes of the n-node grid, so one grid pass yields both cutoffs and both
+grids.
 Both coefficients are reported as a Coefficient record: the value, its
 relative imaginary residue, and its relative change from cutoff pmax to
 pmax // 2 (the truncation tail) and from the grid to its even-index half
@@ -75,9 +78,10 @@ def _q2_rank_note(r: int) -> str:
 class EulerSpec:
     """Truncation of products over monic irreducibles at degree pmax.
 
-    Factors are evaluated once per degree and raised to the count of
-    irreducibles of that degree, so a generous cutoff costs almost nothing.
-    The running product at degree pmax // 2 (1 at pmax = 1) is kept on the
+    Factors are evaluated once per degree, and count * log(factor) is summed
+    over the degrees, with the count of irreducibles of that degree, so a
+    generous cutoff costs almost nothing; one exp per cutoff ends the sum.
+    The running sum at degree pmax // 2 (0 at pmax = 1) is kept on the
     way; a value's relative change between the two is its truncation tail.
     A level-two factor is evaluated once per (degree, sgn(a)^e), shared by
     the roots it does not tell apart (18 of 4 * 12 at pmax = 12), on top of
@@ -244,65 +248,48 @@ def _sign(r: int) -> int:
 
 
 def _clog1p(z):
-    """log(1 + z) accurate for small complex z (numpy log1p lacks complex).
+    """log(1 + z) for complex z, from real ufuncs and with no branch.
 
-    Only the branches the entries need are computed: the series where
-    |z| < 1e-3, the complex log elsewhere.
+    log|1 + z| is half the log1p of |1 + z|^2 - 1 = re (2 + re) + im^2 and
+    the argument is arctan2(im, 1 + re), so a small z keeps its relative
+    accuracy (numpy's log1p has no complex loop) and no complex
+    transcendental runs.  Near z = -1 the real part has an absolute error
+    of ~eps / |1 + z|^2.
     """
-    za = np.asarray(z)
-    small = np.abs(za) < 1e-3
-    if not small.any():
-        return np.log(1.0 + za)
-    zz = za * za
-    series = za - zz / 2 + zz * za / 3 - zz * zz / 4
-    if small.all():
-        return series
-    return np.where(small, series, np.log(np.where(small, 1.0, 1.0 + za)))
+    re, im = np.real(z), np.imag(z)
+    return 0.5 * np.log1p(re * (2 + re) + im * im) + 1j * np.arctan2(im, 1 + re)
+
+
+def _grown(u, v):
+    """(1 + u)(1 + v) - 1, which stays as accurate as u and v are when both
+    are small."""
+    return u + v + u * v
 
 
 def _level_one_log_factor(zs, q, e: int):
-    """log A_e without forming A_e - 1, so the e-th factor can be raised to
-    the huge count of degree-e irreducibles without amplifying roundoff."""
-    r = len(zs)
-    qe_inv = float(q) ** (-e)
+    """log A_e, with A_e - 1 grown from small terms only, so the count of
+    degree-e irreducibles does not amplify a cancellation.
+
+    With x_i = z_i^e / q^(e/2) and t = q^(-e), A_e is prod_(i<=j) (1 - x_i
+    x_j) times (t + C E) / (1 + t): by 1 / (1 - x) = (1 + x) / (1 - x^2),
+    the even part of prod 1 / (1 - x_i) is C E, with C = 1 / prod (1 - x_i^2)
+    and E = e_0 + e_2 + ... the even elementary symmetric sums.  The
+    diagonal pairs cancel C, so A_e = prod_(i<j) (1 - x_i x_j) (1 + ((E - 1)
+    + t (1 / C - 1)) / (1 + t)): no division and no branch.
+    """
+    t = float(q) ** (-e)
     scale = float(q) ** (-0.5 * e)
     x = [scale * z**e for z in zs]
-    log_pairs = 0
-    xmax = 0.0
-    for i in range(r):
-        for j in range(i, r):
-            log_pairs = log_pairs + _clog1p(-x[i] * x[j])
-        xmax = max(xmax, float(np.max(np.abs(np.asarray(x[i])))))
-    if xmax > 0.01:
-        # the -2 cancellation costs ~2e-16 absolute, harmless while the
-        # degree count stays below ~1e7; the series below takes over before
-        # count * roundoff can matter and is cheap there (few terms)
-        pm = 1
-        pp = 1
-        for v in x:
-            pm = pm * (1 - v)
-            pp = pp * (1 + v)
-        bump = (-2 + 1 / pm + 1 / pp) / (2 * (1 + qe_inv))
-    else:
-        # even complete homogeneous sums via Newton's identities
-        terms = 2
-        while xmax > 0 and xmax**terms * (terms + 1) ** (r - 1) > 1e-20:
-            terms += 2
-            if terms > 40:
-                break
-        powers = []
-        running = list(x)
-        for _ in range(terms):
-            powers.append(sum(running))
-            running = [v * w for v, w in zip(running, x)]
-        h = [1]
-        for m in range(1, terms + 1):
-            acc = 0
-            for j in range(1, m + 1):
-                acc = acc + powers[j - 1] * h[m - j]
-            h.append(acc / m)
-        bump = sum(h[m] for m in range(2, terms + 1, 2)) / (1 + qe_inv)
-    return log_pairs + _clog1p(bump)
+    pairs = diag = 0  # prod_(i<j) (1 - x_i x_j) - 1 and 1 / C - 1
+    elem = [1]  # e_0 .. e_k of the variables so far
+    for i, xi in enumerate(x):
+        for xj in x[:i]:
+            pairs = _grown(pairs, -xi * xj)
+        diag = _grown(diag, -xi * xi)
+        elem = [1] + [elem[k] + xi * elem[k - 1] for k in range(1, len(elem))] \
+            + [xi * elem[-1]]
+    even = sum(elem[2::2])
+    return _clog1p(_grown(pairs, (even + t * diag) / (1 + t)))
 
 
 def euler_product_level_one(zs, q, pmax: int):
@@ -375,22 +362,27 @@ def euler_product_regularized(xis, q, pmax: int) -> tuple[dict, dict]:
     A degree-e factor is even in zeta^e: zeta -> -zeta swaps d1 with d3 and
     e1 with e3 and negates d2, e2, last and every a_i, which leaves each term
     unchanged, in floats bit for bit.  So the factor depends on zeta only
-    through sgn(a)^e = zeta^(2e): it is evaluated and raised to its count
-    once per sign at odd e and once at even e, from a zeta-independent half
-    evaluated once per degree, and the two roots of one sign share one
-    product array.
+    through sgn(a)^e = zeta^(2e): it is evaluated once per sign at odd e and
+    once at even e, from a zeta-independent half evaluated once per degree.
+    Each sign accumulates count * log f of its factors f, and one exp per
+    sign and cutoff gives the product the two roots of that sign share.
     """
-    lower = by_sign = {1: 1, -1: 1}
+    lower = logs = {1: 0, -1: 0}
     for e in range(1, pmax + 1):
         shared = _shared_factor(xis, q, e)
         count = irreducible_count(q, e)
-        plus = _root_factor(shared, 1 + 0j, 1) ** count
-        minus = plus if e % 2 == 0 else _root_factor(shared, 1j**e, -1) ** count
-        by_sign = {1: by_sign[1] * plus, -1: by_sign[-1] * minus}
+        plus = count * _clog1p(_root_factor(shared, 1 + 0j, 1) - 1)
+        minus = plus if e % 2 == 0 else \
+            count * _clog1p(_root_factor(shared, 1j**e, -1) - 1)
+        logs = {1: logs[1] + plus, -1: logs[-1] + minus}
         if e == pmax // 2:
-            lower = by_sign
-    return tuple({zeta: products[a_sign] for zeta, a_sign in ZETA_FOURTH.items()}
-                 for products in (lower, by_sign))
+            lower = logs
+
+    def by_root(log_by_sign):
+        products = {a_sign: np.exp(v) for a_sign, v in log_by_sign.items()}
+        return {zeta: products[a_sign] for zeta, a_sign in ZETA_FOURTH.items()}
+
+    return by_root(lower), by_root(logs)
 
 
 def secondary_weight_functions(zs, zeta, q):

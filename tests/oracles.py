@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Iterator
 
+import numpy as np
+
 from qlmoments import lfunc
 from qlmoments import predictor as pr
 from qlmoments.cocycle import act_one
@@ -35,15 +37,16 @@ from qlmoments.kacmoody import Root, positive_real_roots_up_to_height, reflect
 
 
 def level_one_local_factor(zs, q, e: int):
-    """Local correction factor at an irreducible of degree e (any scalar type)."""
+    """Local correction factor at an irreducible of degree e (any scalar type,
+    q too: an mpmath q evaluates it at that precision)."""
     r = len(zs)
-    qe = float(q) ** e
+    qe = q**e
     xe = [z**e for z in zs]
     pairs = 1
     for i in range(r):
         for j in range(i, r):
             pairs = pairs * (1 - xe[i] * xe[j] / qe)
-    scale = float(q) ** (-0.5 * e)
+    scale = q ** (-e / 2)
     pm = 1
     pp = 1
     for x in xe:
@@ -90,21 +93,29 @@ def regularized_local_factor(xis, zeta, a_sign: int, q, e: int):
 
 def euler_product_regularized_per_root(xis, q, pmax: int) -> dict:
     """{zeta: truncated regularized product}, root by root: every degree-e
-    factor is evaluated and raised to its count once per root, 4 * pmax
-    powers where predictor.euler_product_regularized shares one per sign.
-
-    The in-place product fixes the operand order (running product first) at
-    every grid size; an `out = out * f ** count` would let numpy reuse the
-    temporary power above its 256 KiB elision threshold, and with it swap
-    the operands of a complex multiply that is not bitwise commutative.
-    """
+    factor f is evaluated once per root, 4 * pmax factors where
+    predictor.euler_product_regularized shares one per sign, and each root
+    accumulates count * log f in degree order before its one exp, as the
+    production product does per sign."""
     out = {}
     for zeta, a_sign in pr.ZETA_FOURTH.items():
-        prod = 1
+        log = 0
         for e in range(1, pmax + 1):
-            prod *= regularized_local_factor(
+            log = log + irreducible_count(q, e) * pr._clog1p(
+                regularized_local_factor(xis, zeta, a_sign, q, e) - 1)
+        out[zeta] = np.exp(log)
+    return out
+
+
+def euler_product_regularized_powered(xis, q, pmax: int) -> dict:
+    """{zeta: truncated regularized product}, each degree-e factor raised to
+    its count with the complex power and multiplied in: no logarithm."""
+    out = {}
+    for zeta, a_sign in pr.ZETA_FOURTH.items():
+        out[zeta] = 1
+        for e in range(1, pmax + 1):
+            out[zeta] = out[zeta] * regularized_local_factor(
                 xis, zeta, a_sign, q, e) ** irreducible_count(q, e)
-        out[zeta] = prod
     return out
 
 

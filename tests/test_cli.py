@@ -196,16 +196,16 @@ VERIFY_GOLDEN = {
     "1": (
         '# note: normalization: unit auxiliary series assumed for r = 4\n'
         'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
-        '1,5,0,5.0,5.512541437832018,-0.5125414378320183,-0.12535170026723783\n'
-        '2,224/5,-96/5,1.8674948320040343,2.1697060706161193,-0.302211238612085,-0.01807644829319747\n'
-        '3,20456/5,0,4091.2,4097.0448850421235,-5.844885042123678,-0.08550267703848473\n'
+        '1,5,0,5.0,5.512539185273151,-0.5125391852731509,-0.12535114936137315\n'
+        '2,224/5,-96/5,1.8674948320040343,2.1696946260803927,-0.30219979407635833,-0.018075763750295452\n'
+        '3,20456/5,0,4091.2,4097.044830858552,-5.844830858552086,-0.08550188440691213\n'
     ),
     "2": (
         '# note: normalization: unit auxiliary series assumed for r = 4\n'
         'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
-        '1,5,0,5.0,5.437242387773136,-0.43724238777313573,-0.13983584278760253\n'
-        '2,224/5,-96/5,1.8674948320040343,4.123133364442208,-2.255638532438174,-0.23070765175443658\n'
-        '3,20456/5,0,4091.2,4089.3048336067354,1.8951663932643896,0.061992062720414486\n'
+        '1,5,0,5.0,5.437240135214201,-0.4372401352142008,-0.1398351223897502\n'
+        '2,224/5,-96/5,1.8674948320040343,4.123121919906443,-2.2556270879024085,-0.23070648120253573\n'
+        '3,20456/5,0,4091.2,4089.3047794231634,1.8952205768364365,0.061993835098506825\n'
     ),
 }
 
@@ -221,14 +221,14 @@ def test_verify_golden_stdout(n_terms):
 # byte so that a change in how the contour grid is walked shows
 PREDICT_GOLDEN = {
     "q1": (
-        '{"D": 6, "imag_rel": 4.610420036250534e-11, "kind": "q1", "q": 5, '
-        '"r": 4, "refinement_delta": 1.007826580029181e-06, '
-        '"truncation_tail": 0.0002554911589237378, "value": 70.95844126658913}\n'
+        '{"D": 6, "imag_rel": 5.397564953603743e-11, "kind": "q1", "q": 5, '
+        '"r": 4, "refinement_delta": 1.077729546054806e-06, '
+        '"truncation_tail": 0.00025549121596625497, "value": 70.95844083124263}\n'
     ),
     "q2": (
-        '{"D": 6, "imag_rel": 1.3795111435791186e-08, "kind": "q2", "q": 5, '
-        '"r": 4, "refinement_delta": 2.257410265130109e-05, '
-        '"truncation_tail": 0.0425268156966166, "value": -0.35097736275810193}\n'
+        '{"D": 6, "imag_rel": 1.379520020400359e-08, "kind": "q2", "q": 5, '
+        '"r": 4, "refinement_delta": 2.257410501393631e-05, '
+        '"truncation_tail": 0.04252681569660267, "value": -0.35097736275814123}\n'
     ),
 }
 
@@ -339,7 +339,8 @@ def test_predict_refinement_null_without_a_half_grid():
     assert json.loads(p.stdout)["refinement_delta"] is None
 
 
-# at pmax = 28 the level-two product overflows (factor ** count) to NaN
+# at pmax = 28 the level-two product overflows (exp of the count-weighted
+# log sum) to inf or NaN
 def test_predict_non_finite_is_one_error_line():
     p = run_cli("predict", "q2", "--pmax", "28", "--quad", "8", "--D", "6")
     assert_one_line_error(p)
