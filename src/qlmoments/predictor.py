@@ -19,6 +19,12 @@ _clog1p of the factor minus 1, built from real ufuncs with no branch.  The
 level-two product serves all four roots at once: a degree-e factor depends
 on zeta only through sgn(a)^e, so it is evaluated once per (e, sgn(a)^e),
 18 of 48 at pmax = 12, with its zeta-independent half once per degree.
+The level-one product is symmetric in all r variables, so Q1 evaluates it
+once per multiset of node indices, C(n + r - 1, r) of the n^r grid points,
+and each slice gathers its values; the level-two product is symmetric only
+in (z_1, z_2, z_3), and the roundoff of its factor minus 1, formed by
+subtraction, would be repeated over each multiset's orders and amplified
+by the counts, so it is evaluated at every grid point.
 All contour quadrature is the trapezoid rule on circles (spectrally
 accurate for these analytic integrands), and both coefficients are summed
 by one accumulator, _grid_sums, over the one grid generator _torus, for
@@ -37,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -173,10 +179,12 @@ def _circle(n: int, rho: float, center: complex = 1.0):
 def _torus(r: int, n: int, rho: float, center: complex = 1.0):
     """Walk the r-fold trapezoid grid one slice at a time.
 
-    Yields (w_i, zs, w_rest, half): the last max(r - 1, 1) variables of zs
-    are broadcast views of all n nodes and w_rest is the product of their
+    Yields (w_i, zs, w_rest, half, at): the last max(r - 1, 1) variables of
+    zs are broadcast views of all n nodes and w_rest is the product of their
     weights; the leading variable, if any is left, is node i with weight
-    w_i.  For r = 1 the one slice is (1, [nodes], w, half).
+    w_i.  For r = 1 the one slice is (1, [nodes], w, half, at).  at holds
+    the node indices of zs in the same layout: the leading index i, then
+    broadcast views of range(n).
 
     The n // 2-node rule has the even-index nodes and exactly twice the
     weights, so the walk also covers its half grid: half indexes the
@@ -190,42 +198,55 @@ def _torus(r: int, n: int, rho: float, center: complex = 1.0):
     k = max(r - 1, 1)
     shapes = [[n if b == a else 1 for b in range(k)] for a in range(k)]
     views = [nodes.reshape(shape) for shape in shapes]
+    # the smallest integer type, since sorting a slice's indices makes
+    # full-size arrays of them
+    index = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    indices = [index.reshape(shape) for shape in shapes]
     w_rest = prod([w.reshape(shape) for shape in shapes])
     sub = (slice(None, None, 2),) * k
     for lead in itertools.product(range(n), repeat=r - k):
         half = None if any(i % 2 for i in lead) else sub
         yield (np.prod(w[list(lead)]), [nodes[i] for i in lead] + views,
-               w_rest, half)
+               w_rest, half, list(lead) + indices)
 
 
 #: Most grid points n_points^r that one contour sum may walk.  Time grows
-#: with the points and memory with a slice of them (n_points^(r - 1)); the
-#: largest grid in use, r = 4 on 64 nodes, has 2^24 points.
+#: with the points and memory with a slice of them (n_points^(r - 1)), and
+#: for Q1 also with its level-one table, 2 x C(n_points + r - 1, r) complex
+#: values (24.5 MB at r = 4 on 64 nodes); the largest grid in use, r = 4 on
+#: 64 nodes, has 2^24 points.
 GRID_BUDGET = 2**24
+
+
+def _check_budget(r: int, n: int) -> None:
+    if n**r > GRID_BUDGET:
+        raise ValueError(f"{n}^{r} grid points exceed the budget of "
+                         f"{GRID_BUDGET}")
 
 
 def _grid_sums(r: int, quad: QuadSpec, slice_pieces) -> dict:
     """The trapezoid sums of every integrand piece over the r-fold grid.
 
-    slice_pieces(zs, w_rest) gives the pieces of one slice of _torus as
+    slice_pieces(zs, w_rest, at) gives the pieces of one slice of _torus as
     (key, damp, cores), one core per Euler cutoff (pmax // 2, then pmax);
     cores carry the slice weight w_rest.  Returns {key: (sum at pmax // 2,
     sum at pmax, sum at pmax on the half grid)}, each the sum over slices of
     w_i * (core * damp).sum(), the last over the even-index nodes and scaled
-    by 2^r (see _torus).
+    by 2^r (see _torus).  The walk stops at the first slice that leaves a
+    sum non-finite, which no later slice can make finite again.
     """
     n = quad.n_points
-    if n**r > GRID_BUDGET:
-        raise ValueError(f"{n}^{r} grid points exceed the budget of "
-                         f"{GRID_BUDGET}")
+    _check_budget(r, n)
     acc = {}
-    for w_i, zs, w_rest, half in _torus(r, n, quad.rho):
-        for key, damp, cores in slice_pieces(zs, w_rest):
+    for w_i, zs, w_rest, half, at in _torus(r, n, quad.rho):
+        for key, damp, cores in slice_pieces(zs, w_rest, at):
             sums = acc.setdefault(key, [0j, 0j, 0j])
             for k, core in enumerate(cores):
                 sums[k] += w_i * (core * damp).sum()
             if half is not None:  # core is the pmax one
                 sums[2] += w_i * (core[half] * damp[half]).sum()
+        if not np.isfinite(list(acc.values())).all():
+            break
     return {key: (lower, val, 2**r * half)
             for key, (lower, val, half) in acc.items()}
 
@@ -425,9 +446,61 @@ def _q1_kernel(zs):
     return out
 
 
-def _q1_cores(zs, w_rest, q: int, pmax: int) -> list:
-    """The Q1 integrand on one slice: one (base, extra) core per Euler
-    cutoff, pmax // 2 and then pmax.
+def _multisets(n: int, r: int):
+    """The nondecreasing r-tuples of node indices range(n), as the columns
+    of an (r, C(n + r - 1, r)) array in colex order: column c is the
+    multiset of rank c (see _multiset_rank).
+
+    The r-tuples with largest entry t extend the (r - 1)-tuples within
+    range(t + 1), which are the first C(t + r - 1, r - 1) of their order.
+    """
+    dtype = np.min_scalar_type(n - 1)
+    sets = np.zeros((0, 1), dtype)  # the one empty tuple
+    for k in range(1, r + 1):
+        blocks = []
+        for t in range(n):
+            head = sets[:, :comb(t + k - 1, k - 1)]
+            blocks.append(np.vstack([head, np.full((1, head.shape[1]), t, dtype)]))
+        sets = np.concatenate(blocks, axis=1)
+    return sets
+
+
+def _multiset_rank(at, binoms):
+    """The colex rank sum_k C(a_k + k, k + 1) of the sorted node indices
+    a_0 <= ... <= a_(r-1) of every point, where at holds the r index arrays
+    (broadcastable) and binoms[k][a] = C(a + k, k + 1)."""
+    a = list(at)
+    for end in range(len(a) - 1, 0, -1):  # a bubble sorting network
+        for j in range(end):
+            a[j], a[j + 1] = np.minimum(a[j], a[j + 1]), np.maximum(a[j], a[j + 1])
+    return sum(b[a_k] for b, a_k in zip(binoms, a))
+
+
+def _level_one_table(q: int, r: int, pmax: int, quad: QuadSpec):
+    """The level-one products (to pmax // 2, to pmax) at every multiset of
+    node indices, as a (2, C(n + r - 1, r)) array indexed by colex rank.
+
+    The arguments of A go in index order, which the map k -> 2k from the
+    n // 2 nodes to the even nodes keeps, so the half grid reads the values
+    of a table on n // 2 nodes.  The blocks hold half a slice's points: A
+    on gathered nodes has full-size temporaries where a slice's broadcast
+    views have small ones, so this keeps the build's peak memory under the
+    walk's.
+    """
+    n = quad.n_points
+    nodes, _ = _circle(n, quad.rho)
+    sets = _multisets(n, r)
+    table = np.empty((2, sets.shape[1]), complex)
+    block = n ** max(r - 1, 1) // 2
+    for s in range(0, sets.shape[1], block):
+        table[0, s:s + block], table[1, s:s + block] = euler_product_level_one(
+            [nodes[a] for a in sets[:, s:s + block]], q, pmax)
+    return table
+
+
+def _q1_cores(zs, w_rest, q: int, products) -> list:
+    """The Q1 integrand on one slice, from the level-one products A at
+    Euler cutoffs pmax // 2 and pmax: one (base, extra) core per cutoff.
 
     base is A times the kernel times w_rest; extra is base times
     prod (1 - sqrt(q) z), the core of the even degrees.
@@ -435,7 +508,7 @@ def _q1_cores(zs, w_rest, q: int, pmax: int) -> list:
     sq = q**0.5
     kern = _q1_kernel(zs) * w_rest
     cores = []
-    for euler_product in euler_product_level_one(zs, q, pmax):
+    for euler_product in products:
         base = euler_product * kern
         extra = base
         for z in zs:
@@ -449,14 +522,23 @@ def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
                ) -> dict[int, tuple[complex, complex, complex]]:
     """{D: (Q1 at Euler cutoff pmax // 2, Q1 at pmax, Q1 at pmax on the
     half grid)} for every degree in the list, sharing one grid pass; each
-    slice forms the damping prod(z)^(-(D // 2)) once per degree."""
+    slice forms the damping prod(z)^(-(D // 2)) once per degree.
+
+    The level-one product A is symmetric in the z_i, so it is evaluated
+    once per multiset of node indices (_level_one_table), and each slice
+    gathers its values by the rank of its sorted indices.
+    """
     _require_modulus(q)
     if r < 1:
         raise ValueError("need r >= 1")
     degrees = _degrees(degrees)
+    n = quad.n_points
+    _check_budget(r, n)  # before the table, which grows with the grid
+    table = _level_one_table(q, r, euler.pmax, quad)
+    binoms = [np.array([comb(a + k, k + 1) for a in range(n)]) for k in range(r)]
 
-    def pieces(zs, w_rest):
-        cores = _q1_cores(zs, w_rest, q, euler.pmax)
+    def pieces(zs, w_rest, at):
+        cores = _q1_cores(zs, w_rest, q, table[:, _multiset_rank(at, binoms)])
         prodz = prod(zs)
         for d in degrees:
             yield d, prodz ** (-(d // 2)), [extra if d % 2 == 0 else base
@@ -531,7 +613,7 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
         raise ValueError(f"the level-two coefficient is {note}")
     degrees = _degrees(degrees)
 
-    def pieces(zs, w_rest):
+    def pieces(zs, w_rest, _):
         tailprod = prod(zs[3:])
         cutoffs = euler_product_regularized(zs, q, euler.pmax)
         kern = _q2_kernel(zs, 3) * w_rest

@@ -146,7 +146,7 @@ def _q2_per_root_walk(q, r, degrees, euler, quad) -> dict:
     unsigned, from one walk of the grid quad, every slice factor per root."""
     acc = {d: {zeta: [[0j, 0j], [0j, 0j]] for zeta in pr.ZETA_FOURTH}
            for d in degrees}
-    for w_i, zs, w_rest, _ in pr._torus(r, quad.n_points, quad.rho):
+    for w_i, zs, w_rest, *_ in pr._torus(r, quad.n_points, quad.rho):
         tailprod = prod(zs[3:])
         cutoffs = pr.euler_product_regularized(zs, q, euler.pmax)
         for zeta in pr.ZETA_FOURTH:
@@ -176,6 +176,29 @@ def r_p_3(z1, z2, z3, q):
 # Q1
 
 
+def q1_profile_per_point(q: int, r: int, degrees, euler: pr.EulerSpec,
+                         quad: pr.QuadSpec) -> dict:
+    """predictor.q1_profile with the level-one product A evaluated on every
+    slice of the walk, at all n^r grid points, where the production profile
+    evaluates it once per multiset of node indices and gathers it."""
+    degrees = sorted(set(degrees))
+
+    def pieces(zs, w_rest, _):
+        products = pr.euler_product_level_one(zs, q, euler.pmax)
+        cores = pr._q1_cores(zs, w_rest, q, products)
+        prodz = prod(zs)
+        for d in degrees:
+            yield d, prodz ** (-(d // 2)), [extra if d % 2 == 0 else base
+                                            for base, extra in cores]
+
+    sums = pr._grid_sums(r, quad, pieces)
+    pref_even = (1 - 1 / q) * (1 - q**0.5) ** (-r) * pr._sign(r) / factorial(r)
+    pref_odd = (1 - 1 / q) * pr._sign(r) / factorial(r)
+    return {d: tuple(complex((pref_even if d % 2 == 0 else pref_odd) * v)
+                     for v in sums[d])
+            for d in degrees}
+
+
 def q1_coefficient_circle(q: int, r: int, D: int,
                           euler: pr.EulerSpec = pr.EulerSpec(),
                           quad: pr.QuadSpec = pr.QuadSpec(),
@@ -188,8 +211,9 @@ def q1_coefficient_circle(q: int, r: int, D: int,
     sq = q**0.5
     xi_nodes, xi_w = pr._circle(n_xi, q ** (-2.0), center=0.0)
     out = 0j
-    for w_i, zs, w_rest, _ in pr._torus(r, quad.n_points, quad.rho):
-        base, extra = pr._q1_cores(zs, w_rest, q, euler.pmax)[1]
+    for w_i, zs, w_rest, *_ in pr._torus(r, quad.n_points, quad.rho):
+        products = pr.euler_product_level_one(zs, q, euler.pmax)
+        base, extra = pr._q1_cores(zs, w_rest, q, products)[1]
         prodz = prod(zs)
         for xi, wx in zip(xi_nodes, xi_w):
             pole = 1 / (1 - q**2 * xi**2 / prodz)
@@ -307,7 +331,7 @@ def rank3_local_poly_x1_coeffs(n_terms: int = 14) -> list[Fraction]:
 def contour_integral(fn, r: int, rho: float, n: int, center: complex = 1.0) -> complex:
     """(1/(2 pi i))^r times the iterated contour integral of fn over r circles."""
     total = 0j
-    for w_i, zs, w_rest, _ in pr._torus(r, n, rho, center):
+    for w_i, zs, w_rest, *_ in pr._torus(r, n, rho, center):
         total += w_i * (fn(zs) * w_rest).sum()
     return complex(total)
 

@@ -196,16 +196,16 @@ VERIFY_GOLDEN = {
     "1": (
         '# note: normalization: unit auxiliary series assumed for r = 4\n'
         'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
-        '1,5,0,5.0,5.512539185273151,-0.5125391852731509,-0.12535114936137315\n'
-        '2,224/5,-96/5,1.8674948320040343,2.1696946260803927,-0.30219979407635833,-0.018075763750295452\n'
-        '3,20456/5,0,4091.2,4097.044830858552,-5.844830858552086,-0.08550188440691213\n'
+        '1,5,0,5.0,5.512539208090553,-0.5125392080905531,-0.12535115494180032\n'
+        '2,224/5,-96/5,1.8674948320040343,2.169694742111621,-0.3021999101075865,-0.018075770690581677\n'
+        '3,20456/5,0,4091.2,4097.044831630774,-5.844831630774024,-0.0855018957034633\n'
     ),
     "2": (
         '# note: normalization: unit auxiliary series assumed for r = 4\n'
         'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
-        '1,5,0,5.0,5.437240135214201,-0.4372401352142008,-0.1398351223897502\n'
-        '2,224/5,-96/5,1.8674948320040343,4.123121919906443,-2.2556270879024085,-0.23070648120253573\n'
-        '3,20456/5,0,4091.2,4089.3047794231634,1.8952205768364365,0.061993835098506825\n'
+        '1,5,0,5.0,5.437240158031603,-0.437240158031603,-0.1398351296870543\n'
+        '2,224/5,-96/5,1.8674948320040343,4.123122035937671,-2.2556272039336367,-0.23070649307025823\n'
+        '3,20456/5,0,4091.2,4089.3047801953853,1.8952198046144986,0.06199380983865049\n'
     ),
 }
 
@@ -221,9 +221,9 @@ def test_verify_golden_stdout(n_terms):
 # byte so that a change in how the contour grid is walked shows
 PREDICT_GOLDEN = {
     "q1": (
-        '{"D": 6, "imag_rel": 5.397564953603743e-11, "kind": "q1", "q": 5, '
-        '"r": 4, "refinement_delta": 1.077729546054806e-06, '
-        '"truncation_tail": 0.00025549121596625497, "value": 70.95844083124263}\n'
+        '{"D": 6, "imag_rel": 8.583627599191128e-11, "kind": "q1", "q": 5, '
+        '"r": 4, "refinement_delta": 1.0781359810455967e-06, '
+        '"truncation_tail": 0.0002554912181963279, "value": 70.95844083650891}\n'
     ),
     "q2": (
         '{"D": 6, "imag_rel": 1.379520020400359e-08, "kind": "q2", "q": 5, '

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -444,6 +445,58 @@ class TestQ1:
             assert abs(an[D][1] - ci) < 1e-6 * abs(an[D][1])
 
 
+class TestLevelOneTable:
+    """q1_profile evaluates A once per multiset of node indices and gathers
+    it; oracles.q1_profile_per_point evaluates it at every grid point."""
+
+    @pytest.mark.parametrize("n, r", [(4, 1), (5, 3), (8, 4), (6, 5)])
+    def test_rank_of_every_multiset_is_its_column(self, n, r):
+        sets = pr._multisets(n, r)
+        assert sets.shape == (r, math.comb(n + r - 1, r))
+        assert np.all(np.diff(sets, axis=0) >= 0)  # nondecreasing columns
+        binoms = [np.array([math.comb(a + k, k + 1) for a in range(n)])
+                  for k in range(r)]
+        # in reversed order, so the rank sorts its indices itself
+        ranks = pr._multiset_rank(list(sets[::-1]), binoms)
+        assert list(ranks) == list(range(sets.shape[1]))
+
+    @pytest.mark.parametrize("r, n", [(1, 16), (3, 8), (4, 16), (5, 8)])
+    def test_level_one_runs_once_per_multiset(self, monkeypatch, r, n):
+        points = []
+        euler = pr.euler_product_level_one
+
+        def counted(zs, q, pmax):
+            points.append(np.broadcast(*zs).size)
+            return euler(zs, q, pmax)
+
+        monkeypatch.setattr(pr, "euler_product_level_one", counted)
+        pr.q1_profile(Q, r, [4, 5], pr.EulerSpec(6), pr.QuadSpec(0.1, n))
+        assert sum(points) == math.comb(n + r - 1, r)
+        assert max(points) <= n ** max(r - 1, 1) // 2  # half a slice
+
+    # Largest relative gap measured over q = 5 and 13, D = 3..6 and the
+    # three entries of each degree: 0 at r = 1, 5.4e-12 at r = 3, 9.7e-9 at
+    # r = 4, 7.3e-13 at r = 5 on 8 nodes, 5.1e-5 at r = 5 on 16.  The gather
+    # repeats one rounding of A (~5e-15, mostly from degree 1) over the r!
+    # orders of a multiset, and the contour sum's cancellation ratio
+    # sum |w f| / |sum w f| (1.6e9 at r = 4, D = 2, n = 16; 5.8e10 at r = 5,
+    # D = 4, n = 16) carries it into Q1.  Bounds are ~10x the gaps.
+    GATHER_GAP = {(1, 8): 0.0, (1, 16): 0.0, (3, 8): 5e-11, (3, 16): 5e-11,
+                  (4, 8): 1e-7, (4, 16): 1e-7, (5, 8): 1e-11, (5, 16): 5e-4}
+
+    @pytest.mark.parametrize("q", [5, 13])
+    @pytest.mark.parametrize("r, n", sorted(GATHER_GAP))
+    def test_gather_matches_the_per_point_walk(self, q, r, n):
+        euler, quad = pr.EulerSpec(12), pr.QuadSpec(0.1, n)
+        got = pr.q1_profile(q, r, range(3, 7), euler, quad)
+        want = oracles.q1_profile_per_point(q, r, range(3, 7), euler, quad)
+        assert list(got) == list(want)
+        bound = self.GATHER_GAP[r, n]
+        for D, entries in want.items():
+            for g, w in zip(got[D], entries):
+                assert abs(g - w) <= bound * abs(w)
+
+
 class TestQ2:
     def test_rank_guard(self):
         with pytest.raises(ValueError, match="r >= 4"):
@@ -543,6 +596,28 @@ class TestGridBudget:
             pr.q1_profile(Q, 4, [4], pr.EulerSpec(6), pr.QuadSpec(0.1, 4))
         with pytest.raises(ValueError, match="budget"):
             pr.q1_profile(Q, 5, [4], pr.EulerSpec(6), pr.QuadSpec(0.1, 4))
+
+
+class TestGridSums:
+    def test_walk_stops_at_the_first_non_finite_sum(self, monkeypatch):
+        slices = []
+        torus = pr._torus
+
+        def counted(*args):
+            for piece in torus(*args):
+                slices.append(piece)
+                yield piece
+
+        monkeypatch.setattr(pr, "_torus", counted)
+        quad = pr.QuadSpec(0.05, 8)
+        # at pmax = 28 the level-two product overflows on the second slice
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = pr.q2_coefficient(Q, 4, 6, pr.EulerSpec(28), quad)
+        assert not math.isfinite(res.value)
+        assert len(slices) == 2
+        slices.clear()
+        res = pr.q2_coefficient(Q, 4, 6, pr.EulerSpec(12), quad)
+        assert math.isfinite(res.value) and len(slices) == quad.n_points
 
 
 class TestHalfGrid:
