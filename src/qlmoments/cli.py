@@ -96,8 +96,9 @@ def cmd_cocycle_eval(args) -> int:
         raise ValueError("z must have r+1 coordinates covering every letter")
     q = float(args.q)
     m = cocycle.cocycle_matrix(word, z, q, q**0.5, 0.5)
+    # + 0.0 prints an exact zero as 0.0 whatever its sign
     for row in m:
-        print(json.dumps([[v.real, v.imag] for v in row]))
+        print(json.dumps([[v.real + 0.0, v.imag + 0.0] for v in row]))
     return 0
 
 

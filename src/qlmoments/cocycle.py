@@ -7,11 +7,14 @@ rightmost letter first.  The cocycle satisfies
     M_{w w'}(z) = M_{w'}(z) * M_w(w'z)
 
 with the diagonal base matrix M(u, q) on letters 1..r and its U-conjugate
-on letter r+1.  Everything here is generic over the scalar type: complex
-numbers, numpy arrays, and exact K elements all work, since only ring
-operators are used.  Callers pass q and sqrt(q) as scalars of the chosen
-type (the recursion never takes square roots itself), plus `half` = 1/2 in
-that type.
+U M U on letter r+1.  No base matrix is formed: a letter i <= r scales the
+columns of the running product by the three diagonal entries, and letter
+r+1 forms U diag(m1, m2, m3) U from five half-scalings, in the order of
+terms of the full product, before one matrix product.  Everything here is
+generic over the scalar type: complex numbers, numpy arrays, and exact K
+elements all work, since only ring operators are used.  Callers pass q and
+sqrt(q) as scalars of the chosen type (the recursion never takes square
+roots itself), plus `half` = 1/2 in that type.
 
 Singular evaluation points (a vanishing base-matrix denominator along the
 chain) raise SingularPointError naming the offending letter; limits are
@@ -31,12 +34,10 @@ from .kacmoody import Root
 __all__ = [
     "SingularPointError",
     "act_one",
-    "base_matrix",
     "cocycle_matrix",
     "mat_mul",
     "mat_inv3",
     "identity3",
-    "u_matrix",
     "mbar_matrix",
     "gamma_factor_exact",
     "gamma_table_entry",
@@ -102,7 +103,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_inv3(a: Matrix) -> Matrix:
-    """Adjugate inverse; raises ZeroDivisionError on singular input."""
+    """Adjugate inverse; raises ZeroDivisionError on singular input.
+
+    The determinant is inverted once (in K an inversion costs several
+    products) and the cofactors are scaled by that inverse.
+    """
     c00 = a[1][1] * a[2][2] - a[1][2] * a[2][1]
     c01 = a[1][2] * a[2][0] - a[1][0] * a[2][2]
     c02 = a[1][0] * a[2][1] - a[1][1] * a[2][0]
@@ -113,17 +118,12 @@ def mat_inv3(a: Matrix) -> Matrix:
     c20 = a[0][1] * a[1][2] - a[0][2] * a[1][1]
     c21 = a[0][2] * a[1][0] - a[0][0] * a[1][2]
     c22 = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    inv_det = 1 / det
     return (
-        (c00 / det, c10 / det, c20 / det),
-        (c01 / det, c11 / det, c21 / det),
-        (c02 / det, c12 / det, c22 / det),
+        (c00 * inv_det, c10 * inv_det, c20 * inv_det),
+        (c01 * inv_det, c11 * inv_det, c21 * inv_det),
+        (c02 * inv_det, c12 * inv_det, c22 * inv_det),
     )
-
-
-def u_matrix(half) -> Matrix:
-    one = half + half
-    zero = half - half
-    return ((half, one, half), (half, zero, -half), (half, -one, half))
 
 
 def _diag_entries(u, q, sqrt_q):
@@ -135,17 +135,22 @@ def _diag_entries(u, q, sqrt_q):
     )
 
 
-def base_matrix(i: int, z: tuple, q, sqrt_q, half) -> Matrix:
-    """M_{w_i} evaluated at z: diagonal for i <= r, U-conjugated for i = r+1."""
-    r = len(z) - 1
-    zero = half - half
-    if i <= r:
-        m1, m2, m3 = _diag_entries(z[i - 1], q, sqrt_q)
-        return ((m1, zero, zero), (zero, m2, zero), (zero, zero, m3))
-    m1, m2, m3 = _diag_entries(z[r], q, sqrt_q)
-    u = u_matrix(half)
-    diag = ((m1, zero, zero), (zero, m2, zero), (zero, zero, m3))
-    return mat_mul(mat_mul(u, diag), u)
+def _u_conjugate(m1, m2, m3, half) -> Matrix:
+    """U diag(m1, m2, m3) U for U = ((h, 1, h), (h, 0, -h), (h, -1, h)), h = half.
+
+    Each entry is the sum mat_mul(mat_mul(U, diag), U) forms, with its terms
+    in the same order and the products by 0 and +-1 left out.
+    """
+    a = half * m1
+    b = half * m2
+    c = half * m3
+    aa = half * a
+    cc = half * c
+    plus = aa + b + cc
+    minus = aa - b + cc
+    diff = a - c
+    mid = aa - cc
+    return ((plus, diff, minus), (mid, a + c, mid), (minus, diff, plus))
 
 
 def cocycle_matrix(word: tuple[int, ...], z: tuple, q, sqrt_q, half) -> Matrix:
@@ -156,10 +161,17 @@ def cocycle_matrix(word: tuple[int, ...], z: tuple, q, sqrt_q, half) -> Matrix:
     one = half + half
     zero = half - half
     acc = identity3(one, zero)
+    r = len(z) - 1
     zc = z
     for pos, letter in enumerate(reversed(word)):
         try:
-            acc = mat_mul(acc, base_matrix(letter, zc, q, sqrt_q, half))
+            if letter <= r:
+                m = _diag_entries(zc[letter - 1], q, sqrt_q)
+                acc = tuple((row[0] * m[0], row[1] * m[1], row[2] * m[2])
+                            for row in acc)
+            else:
+                acc = mat_mul(acc, _u_conjugate(*_diag_entries(zc[r], q, sqrt_q),
+                                                half))
             zc = act_one(letter, zc, q, sqrt_q)
         except ZeroDivisionError as exc:
             raise SingularPointError(letter, len(word) - 1 - pos) from exc

@@ -36,15 +36,6 @@ Scalar = Union[int, Fraction]
 _Num = tuple[int, int, int, int, int, int, int, int]  # re, im of c0, .., c3
 
 
-def _isum(*terms: tuple[int, tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
-    """Sum of k * x * y over (k, x, y), with x and y Gaussian integers (re, im)."""
-    re = im = 0
-    for k, x, y in terms:
-        re += k * (x[0] * y[0] - x[1] * y[1])
-        im += k * (x[0] * y[1] + x[1] * y[0])
-    return re, im
-
-
 def _make(num: _Num, den: int, q: int) -> "KNum":
     """The element num / den of K, for den > 0, in canonical form."""
     if den != 1:
@@ -64,24 +55,39 @@ def _inverse(num: _Num, den: int, q: int) -> "KNum":
 
     With x = A + tB, A = c0 + c2 s and B = c1 + c3 s, x (A - tB) = a + b s and
     (a + b s)(a - b s) = n lies in Q(i), so 1/x = (A - tB)(a - b s) / n.  The
-    norm is taken on the Gaussian-integer numerators c_k, so den/x is that
-    quotient and the result is den (A - tB)(a - b s) conj(n) / |n|^2.
+    norm is taken on the Gaussian-integer numerators c_k = a_k + i b_k, so
+    den/x is that quotient and the result is den (A - tB)(a - b s) conj(n) /
+    |n|^2.  Every Gaussian product is written out on the integer parts, as in
+    KNum.__mul__.
     """
     if not any(num):
         raise ZeroDivisionError("inversion of zero in K")
-    c0, c1, c2, c3 = num[0:2], num[2:4], num[4:6], num[6:8]
-    a = _isum((1, c0, c0), (q, c2, c2), (-2 * q, c1, c3))
-    b = _isum((2, c0, c2), (-1, c1, c1), (-q, c3, c3))
-    n = _isum((1, a, a), (-q, b, b))
-    if n == (0, 0):
+    a0, b0, a1, b1, a2, b2, a3, b3 = num
+    # a = c0^2 + q c2^2 - 2q c1 c3 and b = 2 c0 c2 - c1^2 - q c3^2
+    ar = a0*a0 - b0*b0 + q*(a2*a2 - b2*b2 - 2*(a1*a3 - b1*b3))
+    ai = 2*(a0*b0 + q*(a2*b2 - a1*b3 - b1*a3))
+    br = 2*(a0*a2 - b0*b2) - a1*a1 + b1*b1 - q*(a3*a3 - b3*b3)
+    bi = 2*(a0*b2 + b0*a2 - a1*b1 - q*a3*b3)
+    # n = a^2 - q b^2
+    nr = ar*ar - ai*ai - q*(br*br - bi*bi)
+    ni = 2*(ar*ai - q*br*bi)
+    if not (nr or ni):
         raise ArithmeticError(
             "zero norm of a nonzero element: t^4 - q not irreducible over Q(i)")
-    n_bar = (n[0], -n[1])
+    # the coordinates of (A - tB)(a - b s): c0 a - q c2 b, q c3 b - c1 a,
+    # c2 a - c0 b and c1 b - c3 a
+    parts = (
+        a0*ar - b0*ai - q*(a2*br - b2*bi), a0*ai + b0*ar - q*(a2*bi + b2*br),
+        q*(a3*br - b3*bi) - a1*ar + b1*ai, q*(a3*bi + b3*br) - a1*ai - b1*ar,
+        a2*ar - b2*ai - a0*br + b0*bi, a2*ai + b2*ar - a0*bi - b0*br,
+        a1*br - b1*bi - a3*ar + b3*ai, a1*bi + b1*br - a3*ai - b3*ar,
+    )
+    # times den conj(n) = sr - i si
+    sr, si = den * nr, den * ni
     out = []
-    for part in (_isum((1, c0, a), (-q, c2, b)), _isum((q, c3, b), (-1, c1, a)),
-                 _isum((1, c2, a), (-1, c0, b)), _isum((1, c1, b), (-1, c3, a))):
-        out += _isum((den, part, n_bar))
-    return _make(tuple(out), n[0] * n[0] + n[1] * n[1], q)
+    for pr, pi in zip(parts[::2], parts[1::2]):
+        out += (pr*sr + pi*si, pi*sr - pr*si)
+    return _make(tuple(out), nr*nr + ni*ni, q)
 
 
 class KNum:
@@ -232,14 +238,19 @@ class KNum:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        out = KNum.one(self._q)
+        if n == 0:
+            return KNum.one(self._q)
+        # square-and-multiply from the lowest bit, starting from the base and
+        # squaring no further than the highest bit
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, KNum):

@@ -9,8 +9,13 @@ powers.
 
 It also keeps what only the tests use: the Cartan matrix and the w* sign
 report, the constant contour integrals and exact determinants, the word
-action on coordinates, the constant matrices B and B^(-1), the factor
+action on coordinates, the constant matrices U, B and B^(-1), the factor
 sieve's smallest factor and the per-degree regularized local factor.
+
+Two references check the residue machinery's arithmetic: the cocycle
+recursion that forms each letter's base matrix and takes a full matrix
+product per letter, and the inverse in K by Gaussian-integer sums down its
+tower of norms.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Iterator
 
 import numpy as np
 
 from qlmoments import lfunc
 from qlmoments import predictor as pr
-from qlmoments.cocycle import act_one
+from qlmoments.cocycle import (SingularPointError, _diag_entries, act_one,
+                               identity3, mat_mul)
 from qlmoments.exactnum import KNum, l_at_half_unit, zeta_at_half
 from qlmoments.ffpoly import (FactorSieve, FqPoly, _is_squarefree, _mod, _mul,
                               _require_modulus, index_of_monic,
@@ -567,6 +573,39 @@ def act_on_z(word: tuple[int, ...], z: tuple, q, sqrt_q) -> tuple:
     return z
 
 
+def u_matrix(half):
+    one = half + half
+    zero = half - half
+    return ((half, one, half), (half, zero, -half), (half, -one, half))
+
+
+def base_matrix(i: int, z: tuple, q, sqrt_q, half):
+    """M_{w_i} evaluated at z: diagonal for i <= r, U-conjugated for i = r+1."""
+    r = len(z) - 1
+    zero = half - half
+    if i <= r:
+        m1, m2, m3 = _diag_entries(z[i - 1], q, sqrt_q)
+        return ((m1, zero, zero), (zero, m2, zero), (zero, zero, m3))
+    m1, m2, m3 = _diag_entries(z[r], q, sqrt_q)
+    u = u_matrix(half)
+    diag = ((m1, zero, zero), (zero, m2, zero), (zero, zero, m3))
+    return mat_mul(mat_mul(u, diag), u)
+
+
+def cocycle_matrix_reference(word: tuple[int, ...], z: tuple, q, sqrt_q, half):
+    """M_w(z; q) by the cocycle recursion with a full product by each
+    letter's base matrix; singular points raise as cocycle_matrix does."""
+    acc = identity3(half + half, half - half)
+    zc = z
+    for pos, letter in enumerate(reversed(word)):
+        try:
+            acc = mat_mul(acc, base_matrix(letter, zc, q, sqrt_q, half))
+            zc = act_one(letter, zc, q, sqrt_q)
+        except ZeroDivisionError as exc:
+            raise SingularPointError(letter, len(word) - 1 - pos) from exc
+    return acc
+
+
 def b_matrix(half):
     one = half + half
     zero = half - half
@@ -576,6 +615,45 @@ def b_matrix(half):
 def b_inverse_matrix(one):
     zero = one - one
     return ((one, one, zero), (one, -one, zero), (zero, one, one))
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic in K
+
+
+def _isum(*terms):
+    """Sum of k * x * y over (k, x, y), with x and y Gaussian integers (re, im)."""
+    re = im = 0
+    for k, x, y in terms:
+        re += k * (x[0] * y[0] - x[1] * y[1])
+        im += k * (x[0] * y[1] + x[1] * y[0])
+    return re, im
+
+
+def k_inverse_tower(coords, q):
+    """Inverse in K = Q(i)[t]/(t^4 - q) by the norm down K > Q(i)(s) > Q(i),
+    s = t^2, as sums of Gaussian-integer products on the lcm-scaled coords:
+    four (re, im) Fraction pairs, the coefficients of 1, t, t^2, t^3."""
+    if not any(v for c in coords for v in c):
+        raise ZeroDivisionError("inversion of zero in K")
+    scale = lcm(*(v.denominator for c in coords for v in c))
+    c0, c1, c2, c3 = [(re.numerator * (scale // re.denominator),
+                       im.numerator * (scale // im.denominator))
+                      for re, im in coords]
+    a = _isum((1, c0, c0), (q, c2, c2), (-2 * q, c1, c3))
+    b = _isum((2, c0, c2), (-1, c1, c1), (-q, c3, c3))
+    n = _isum((1, a, a), (-q, b, b))
+    if n == (0, 0):
+        raise ArithmeticError(
+            "zero norm of a nonzero element: t^4 - q not irreducible over Q(i)")
+    den = n[0] * n[0] + n[1] * n[1]
+    n_bar = (n[0], -n[1])
+    out = []
+    for num in (_isum((1, c0, a), (-q, c2, b)), _isum((q, c3, b), (-1, c1, a)),
+                _isum((1, c2, a), (-1, c0, b)), _isum((1, c1, b), (-1, c3, a))):
+        re, im = _isum((scale, num, n_bar))
+        out.append((Fraction(re, den), Fraction(im, den)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

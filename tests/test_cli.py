@@ -141,6 +141,22 @@ def test_cocycle_eval_golden_stdout():
     assert p.stdout == COCYCLE_EVAL_GOLDEN
 
 
+# a diagonal letter scales columns, so its structural zeros come out as
+# (+-0) * m; at negative coordinates that is -0.0, which prints as 0.0
+COCYCLE_EVAL_DIAGONAL_NEGATIVE = (
+    "[[-0.8191605554688717, 0.0], [0.0, 0.0], [0.0, 0.0]]\n"
+    "[[0.0, 0.0], [3.855289616378947, 0.0], [0.0, 0.0]]\n"
+    "[[0.0, 0.0], [0.0, 0.0], [2.440983809170683, 0.0]]\n"
+)
+
+
+def test_cocycle_eval_prints_exact_zero_unsigned():
+    p = run_cli("cocycle", "eval", "--word", "3",
+                "--z", "0.115,-0.048,0.116,-0.285,0.605+0.452j", "--q", "5")
+    assert p.returncode == 0
+    assert p.stdout == COCYCLE_EVAL_DIAGONAL_NEGATIVE
+
+
 def test_cocycle_eval_diagonal():
     p = run_cli("cocycle", "eval", "--word", "1",
                 "--z", "0.3,0.4,0.5,0.6", "--q", "5")

@@ -119,9 +119,87 @@ class TestCocycleMatrix:
         assert info.value.letter == 1
 
 
+def _sweep_point(rng, n):
+    """n coordinates, each real or complex with parts of either sign."""
+    return tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1) if rng.random() < 0.5
+                         else 0.0) for _ in range(n))
+
+
+class TestAgainstReference:
+    """cocycle_matrix applies each letter by its shape; the reference in
+    oracles forms the letter's base matrix and takes a full product."""
+
+    @staticmethod
+    def _k_point(rng, n):
+        # Gaussian-rational coordinates with a q^(1/4) part
+        return tuple(KNum(((Fraction(rng.randint(2, 9), rng.choice([11, 13, 17])),
+                            Fraction(rng.randint(-3, 3), 7)),
+                           (Fraction(rng.randint(-3, 3), 5), 0), (0, 0), (0, 0)), Q)
+                     for _ in range(n))
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_reduction_words_exact(self, kctx, r):
+        rng = random.Random(5077 + r)
+        args = (kctx["q"], kctx["sq"], kctx["half"])
+        for n in (1, 2):
+            for alpha in km.positive_real_roots_at_level(r, n):
+                word = km.reduction_word(alpha)
+                z = self._k_point(rng, r + 1)
+                assert cc.cocycle_matrix(word, z, *args) == \
+                    oracles.cocycle_matrix_reference(word, z, *args)
+
+    def test_random_words_exact(self, kctx):
+        rng = random.Random(5081)
+        args = (kctx["q"], kctx["sq"], kctx["half"])
+        for r in range(1, 6):
+            for _ in range(12):
+                word = tuple(rng.randint(1, r + 1) for _ in range(rng.randint(1, 7)))
+                z = self._k_point(rng, r + 1)
+                assert cc.cocycle_matrix(word, z, *args) == \
+                    oracles.cocycle_matrix_reference(word, z, *args)
+
+    def test_complex_sweep_matches_reference_floats(self):
+        # every entry ==, so every nonzero part is bit-identical; only the
+        # sign of an exact zero may differ from the reference
+        rng = random.Random(5087)
+        q, sq = 5.0, 5**0.5
+        for _ in range(6000):
+            r = rng.randint(1, 5)
+            word = tuple(rng.randint(1, r + 1) for _ in range(rng.randint(1, 8)))
+            z = _sweep_point(rng, r + 1)
+            got = cc.cocycle_matrix(word, z, q, sq, 0.5)
+            want = oracles.cocycle_matrix_reference(word, z, q, sq, 0.5)
+            for row_got, row_want in zip(got, want):
+                for x, y in zip(row_got, row_want):
+                    assert (x.real, x.imag) == (y.real, y.imag), (word, z)
+
+    def test_singular_point_same_letter_and_position(self, kctx):
+        # the point is moved back from one whose coordinate at the chosen
+        # letter is +-1, so that letter's base matrix is the first singular
+        # one along the chain; the letter is taken at its first application,
+        # since a second one can move that coordinate back
+        rng = random.Random(5099)
+        args = (kctx["q"], kctx["sq"], kctx["half"])
+        for r in range(1, 6):
+            for _ in range(8):
+                word = tuple(rng.randint(1, r + 1) for _ in range(rng.randint(1, 6)))
+                letter = rng.choice(word)
+                pos = max(k for k, v in enumerate(word) if v == letter)
+                moved = list(self._k_point(rng, r + 1))
+                moved[letter - 1] = KNum.rational(rng.choice((1, -1)), Q)
+                z = oracles.act_on_z(tuple(reversed(word[pos + 1:])), tuple(moved),
+                                     kctx["q"], kctx["sq"])
+                raised = []
+                for route in (cc.cocycle_matrix, oracles.cocycle_matrix_reference):
+                    with pytest.raises(cc.SingularPointError) as info:
+                        route(word, z, *args)
+                    raised.append((info.value.letter, info.value.position))
+                assert raised == [(letter, pos)] * 2
+
+
 class TestConstantMatrices:
     def test_u_squares_to_identity(self, kctx):
-        u = cc.u_matrix(kctx["half"])
+        u = oracles.u_matrix(kctx["half"])
         one = kctx["one"]
         assert cc.mat_mul(u, u) == cc.identity3(one, one - one)
 

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qlmoments.exactnum import KNum, l_at_half_unit, zeta_at_half
+
+from oracles import k_inverse_tower
 
 Q = 5
 
@@ -156,10 +158,50 @@ def test_pow_negative():
     assert t**-4 == KNum.rational(Fraction(1, Q), Q)
 
 
+def _seeded_k(rng, q, bound):
+    """A K element with parts num/den, |num| and den up to bound, and about a
+    quarter of its eight parts zero."""
+    return KNum(tuple(
+        tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+              if rng.random() < 0.75 else Fraction(0) for _ in range(2))
+        for _ in range(4)), q)
+
+
+def test_inverse_matches_tower_on_large_elements():
+    rng = random.Random(20261020)
+    for q in (5, 13, 17):
+        one = KNum.one(q)
+        for _ in range(150):
+            x = _seeded_k(rng, q, 10**40)
+            if x.is_zero:
+                continue
+            assert x.inv().coords == k_inverse_tower(x.coords, q)
+            assert x * x.inv() == one
+        with pytest.raises(ZeroDivisionError):
+            KNum.zero(q).inv()
+
+
+def test_pow_matches_repeated_products():
+    rng = random.Random(4051)
+    for q in (5, 13):
+        one = KNum.one(q)
+        for _ in range(10):
+            x = _seeded_k(rng, q, 10**6)
+            if x.is_zero:
+                continue
+            for n in (0, 1, 2, 3, 5, 8, -1, -3):
+                want = one
+                for _ in range(abs(n)):
+                    want = want * (x if n > 0 else x.inv())
+                assert x**n == want
+        with pytest.raises(ZeroDivisionError):
+            KNum.zero(q) ** -1
+
+
 # -- reference: K on Gaussian-rational Fraction pairs -----------------------
 # An independent route for the same arithmetic, sharing no code with
 # exactnum: an element is four (re, im) Fraction pairs, the coefficients of
-# 1, t, t^2, t^3.
+# 1, t, t^2, t^3.  Inverses come from oracles.k_inverse_tower.
 
 _GZERO = (Fraction(0), Fraction(0))
 
@@ -174,15 +216,6 @@ def _gsub(a, b):
 
 def _gmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _isum(*terms):
-    """Sum of k * x * y over (k, x, y), with x and y Gaussian integers (re, im)."""
-    re = im = 0
-    for k, x, y in terms:
-        re += k * (x[0] * y[0] - x[1] * y[1])
-        im += k * (x[0] * y[1] + x[1] * y[0])
-    return re, im
 
 
 def ref_add(a, b):
@@ -209,33 +242,9 @@ def ref_mul(a, b, q):
     return tuple(out)
 
 
-def ref_inv(coords, q):
-    """Inverse by the norm down K > Q(i)(s) > Q(i), s = t^2, on lcm-scaled coords."""
-    if all(c == _GZERO for c in coords):
-        raise ZeroDivisionError("inversion of zero in K")
-    scale = lcm(*(v.denominator for c in coords for v in c))
-    c0, c1, c2, c3 = [(re.numerator * (scale // re.denominator),
-                       im.numerator * (scale // im.denominator))
-                      for re, im in coords]
-    a = _isum((1, c0, c0), (q, c2, c2), (-2 * q, c1, c3))
-    b = _isum((2, c0, c2), (-1, c1, c1), (-q, c3, c3))
-    n = _isum((1, a, a), (-q, b, b))
-    if n == (0, 0):
-        raise ArithmeticError(
-            "zero norm of a nonzero element: t^4 - q not irreducible over Q(i)")
-    den = n[0] * n[0] + n[1] * n[1]
-    n_bar = (n[0], -n[1])
-    out = []
-    for num in (_isum((1, c0, a), (-q, c2, b)), _isum((q, c3, b), (-1, c1, a)),
-                _isum((1, c2, a), (-1, c0, b)), _isum((1, c1, b), (-1, c3, a))):
-        re, im = _isum((scale, num, n_bar))
-        out.append((Fraction(re, den), Fraction(im, den)))
-    return tuple(out)
-
-
 def ref_pow(coords, n, q):
     """coords ** n by n repeated products (of the inverse when n < 0)."""
-    base = ref_inv(coords, q) if n < 0 else coords
+    base = k_inverse_tower(coords, q) if n < 0 else coords
     out = ((Fraction(1), Fraction(0)), _GZERO, _GZERO, _GZERO)
     for _ in range(abs(n)):
         out = ref_mul(out, base, q)
@@ -263,11 +272,11 @@ def test_arithmetic_matches_fraction_reference(xy, s, n):
     assert (s - x).coords == ref_sub(c, a)
     assert (x * s).coords == (s * x).coords == ref_mul(a, c, q)
     if s != 0:
-        assert (x / s).coords == ref_mul(a, ref_inv(c, q), q)
+        assert (x / s).coords == ref_mul(a, k_inverse_tower(c, q), q)
     if not x.is_zero:
-        assert x.inv().coords == ref_inv(a, q)
-        assert (s / x).coords == ref_mul(c, ref_inv(a, q), q)
-        assert (y / x).coords == ref_mul(b, ref_inv(a, q), q)
+        assert x.inv().coords == k_inverse_tower(a, q)
+        assert (s / x).coords == ref_mul(c, k_inverse_tower(a, q), q)
+        assert (y / x).coords == ref_mul(b, k_inverse_tower(a, q), q)
     if n >= 0 or not x.is_zero:
         assert (x ** n).coords == ref_pow(a, n, q)
 
