@@ -129,10 +129,6 @@ class KNum:
         return cls.rational(1, q)
 
     @classmethod
-    def i_unit(cls, q: int) -> "KNum":
-        return cls.gaussian(0, 1, q)
-
-    @classmethod
     def root4(cls, q: int, power: int = 1) -> "KNum":
         """t^power, i.e. q^(power/4), for any integer power."""
         _require_modulus(q)
@@ -152,12 +148,6 @@ class KNum:
         re = [1, 0, -1, 0][k]
         im = [0, 1, 0, -1][k]
         return cls.gaussian(re, im, q)
-
-    @classmethod
-    def from_sqrt_pair(cls, a: Scalar, b: Scalar, q: int) -> "KNum":
-        """a + b*sqrt(q)."""
-        _require_modulus(q)
-        return cls(((a, 0), (0, 0), (b, 0), (0, 0)), q)
 
     # -- ring operations ---------------------------------------------------
 
@@ -284,12 +274,6 @@ class KNum:
     @property
     def is_zero(self) -> bool:
         return not any(self._num)
-
-    def conj_i(self) -> "KNum":
-        """Galois conjugate i -> -i (t fixed)."""
-        n = self._num
-        return _make((n[0], -n[1], n[2], -n[3], n[4], -n[5], n[6], -n[7]),
-                     self._den, self._q)
 
     def embed(self, root: int = 0) -> complex:
         """Numerical embedding t -> i^root * q^(1/4), i -> imaginary unit.

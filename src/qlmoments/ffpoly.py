@@ -254,10 +254,6 @@ class FqPoly:
     def make(cls, coeffs, q: int) -> "FqPoly":
         return cls(_trim([c % q for c in coeffs]), q)
 
-    @classmethod
-    def constant(cls, c: int, q: int) -> "FqPoly":
-        return cls.make([c], q)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial

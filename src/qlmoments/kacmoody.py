@@ -52,10 +52,6 @@ class Root:
     def is_positive(self) -> bool:
         return any(self.k) and all(v >= 0 for v in self.k)
 
-    @property
-    def is_negative(self) -> bool:
-        return any(self.k) and all(v <= 0 for v in self.k)
-
 
 def simple_root(i: int, r: int) -> Root:
     k = [0] * (r + 1)

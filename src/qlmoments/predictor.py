@@ -13,12 +13,10 @@ Two pipelines are implemented on top of the cocycle module:
   of unity zeta (each fixes its sign sgn(a) = zeta^2, see ZETA_FOURTH).
 
 Euler products are truncated at a degree cutoff pmax and also return their
-running value at pmax // 2.  Both are summed in log form, count times the
-log of each degree's factor with one exp per cutoff, and every log is
-_clog1p of the factor minus 1, built from real ufuncs with no branch.  The
-level-two product serves all four roots at once: a degree-e factor depends
-on zeta only through sgn(a)^e, so it is evaluated once per (e, sgn(a)^e),
-18 of 48 at pmax = 12, with its zeta-independent half once per degree.
+running value at pmax // 2.  One log-sum, _euler_products, serves both
+levels (see EulerSpec), and every log is _clog1p of the factor minus 1,
+built from real ufuncs with no branch.  The level-two product is kept per
+sign sgn(a) = zeta^2, which each root reads through ZETA_FOURTH.
 The level-one product is symmetric in all r variables, so Q1 evaluates it
 once per multiset of node indices, C(n + r - 1, r) of the n^r grid points,
 and each slice gathers its values; the level-two product is symmetric only
@@ -34,14 +32,16 @@ grids.
 Both coefficients are reported as a Coefficient record: the value, its
 relative imaginary residue, and its relative change from cutoff pmax to
 pmax // 2 (the truncation tail) and from the grid to its even-index half
-(the refinement delta).  Exact q^(1/4)-polynomial ingredients are computed
-in K and only embedded to floats at the quadrature boundary.
+(the refinement delta).  One assembly of Q2, _q2_entries, serves
+q2_coefficient and moment_prediction.  Exact q^(1/4)-polynomial
+ingredients are computed in K and only embedded to floats at the
+quadrature boundary.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -84,14 +84,14 @@ def _q2_rank_note(r: int) -> str:
 class EulerSpec:
     """Truncation of products over monic irreducibles at degree pmax.
 
-    Factors are evaluated once per degree, and count * log(factor) is summed
-    over the degrees, with the count of irreducibles of that degree, so a
-    generous cutoff costs almost nothing; one exp per cutoff ends the sum.
-    The running sum at degree pmax // 2 (0 at pmax = 1) is kept on the
-    way; a value's relative change between the two is its truncation tail.
-    A level-two factor is evaluated once per (degree, sgn(a)^e), shared by
-    the roots it does not tell apart (18 of 4 * 12 at pmax = 12), on top of
-    a zeta-independent half evaluated once per degree.
+    Factors are evaluated once per degree, and one log-sum adds count *
+    log(factor) over the degrees, with the count of irreducibles of that
+    degree, so a generous cutoff costs almost nothing; one exp per product
+    and cutoff ends the sum.  The running sum at degree pmax // 2 (0 at
+    pmax = 1) is kept on the way; a value's relative change between the two
+    is its truncation tail.  A level-two factor is evaluated once per
+    (degree, sgn(a)^e), 18 of 4 * 12 at pmax = 12, on top of a
+    zeta-independent half evaluated once per degree.
     """
 
     pmax: int = 12
@@ -137,8 +137,8 @@ level_one_tail_estimate = regularized_tail_estimate = _relative_change
 class Coefficient:
     """A predicted coefficient Q1(D, q) or Q2(D, q) with its error diagnostics.
 
-    note flags a Q1 rank outside the prediction's range; by_zeta holds the
-    per-root pieces of Q2 (see q2_term_profile).
+    note flags a Q1 rank outside the prediction's range; the per-root pieces
+    of Q2 are in q2_term_profile.
     """
 
     q: int
@@ -149,7 +149,6 @@ class Coefficient:
     tail_estimate: float
     refine_delta: float | None
     note: str = ""
-    by_zeta: dict = field(default_factory=dict)
 
     @classmethod
     def of(cls, q: int, r: int, D: int, values, quad: QuadSpec, refine: bool,
@@ -210,18 +209,23 @@ def _torus(r: int, n: int, rho: float, center: complex = 1.0):
                w_rest, half, list(lead) + indices)
 
 
-#: Most grid points n_points^r that one contour sum may walk.  Time grows
-#: with the points and memory with a slice of them (n_points^(r - 1)), and
-#: for Q1 also with its level-one table, 2 x C(n_points + r - 1, r) complex
-#: values (24.5 MB at r = 4 on 64 nodes); the largest grid in use, r = 4 on
-#: 64 nodes, has 2^24 points.
+#: Most grid points n_points^r that one contour sum may walk, and most
+#: points n_points^max(r - 1, 1) in one slice of it.  Time grows with the
+#: points and memory with the slice (463 MB for Q2 at r = 6 on 16 nodes,
+#: 2^20 points per slice; 1.77 GB at r = 12 on 4 nodes, 2^22), and for Q1
+#: with its level-one table, 2 x C(n_points + r - 1, r) complex values.
 GRID_BUDGET = 2**24
+SLICE_BUDGET = 2**20
 
 
 def _check_budget(r: int, n: int) -> None:
     if n**r > GRID_BUDGET:
         raise ValueError(f"{n}^{r} grid points exceed the budget of "
                          f"{GRID_BUDGET}")
+    k = max(r - 1, 1)
+    if n**k > SLICE_BUDGET:
+        raise ValueError(f"{n}^{k} points per grid slice exceed the budget "
+                         f"of {SLICE_BUDGET}")
 
 
 def _grid_sums(r: int, quad: QuadSpec, slice_pieces) -> dict:
@@ -313,15 +317,26 @@ def _level_one_log_factor(zs, q, e: int):
     return _clog1p(_grown(pairs, (even + t * diag) / (1 + t)))
 
 
-def euler_product_level_one(zs, q, pmax: int):
-    """The truncated level-one products (to degree pmax // 2, to degree pmax),
-    the first a snapshot of the running log-sum."""
-    log_total = log_lower = 0
+def _euler_products(q, pmax: int, n_factors: int, degree_logs):
+    """The lists of n_factors products over the monic irreducibles of degree
+    <= pmax // 2 and <= pmax, from degree_logs(e), the logs of the degree-e
+    factors.  Each factor keeps its own log-sum array: stacking them would
+    copy a slice every degree."""
+    sums = [0] * n_factors
+    lower = sums
     for e in range(1, pmax + 1):
-        log_total = log_total + irreducible_count(q, e) * _level_one_log_factor(zs, q, e)
+        count = irreducible_count(q, e)
+        sums = [s + count * log for s, log in zip(sums, degree_logs(e))]
         if e == pmax // 2:
-            log_lower = log_total
-    return np.exp(log_lower), np.exp(log_total)
+            lower = sums
+    return [np.exp(s) for s in lower], [np.exp(s) for s in sums]
+
+
+def euler_product_level_one(zs, q, pmax: int):
+    """The truncated level-one products (to degree pmax // 2, to degree pmax)."""
+    (lower,), (total,) = _euler_products(
+        q, pmax, 1, lambda e: [_level_one_log_factor(zs, q, e)])
+    return lower, total
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +351,8 @@ def _shared_factor(xis, q, e: int):
     x = [v**e for v in xis]
     qe = float(q) ** e
     sq = float(q) ** (0.5 * e)
-    pm = 1
-    pp = 1
-    for v in x:
-        pm = pm * (1 - v * v / sq)
-        pp = pp * (1 + v * v / sq)
+    pm = prod(1 - v * v / sq for v in x)
+    pp = prod(1 + v * v / sq for v in x)
     corr = 1
     for i in range(3):
         for j in range(3, r):
@@ -377,33 +389,24 @@ def _root_factor(shared, ze, se: int):
 
 
 def euler_product_regularized(xis, q, pmax: int) -> tuple[dict, dict]:
-    """{zeta: truncated regularized product} for the four roots, in
-    ZETA_FOURTH order: to degree pmax // 2, then to degree pmax.
+    """{sgn(a): truncated regularized product} for the two signs +1, -1:
+    to degree pmax // 2, then to degree pmax.  Root zeta reads the product
+    of its sign ZETA_FOURTH[zeta].
 
     A degree-e factor is even in zeta^e: zeta -> -zeta swaps d1 with d3 and
     e1 with e3 and negates d2, e2, last and every a_i, which leaves each term
     unchanged, in floats bit for bit.  So the factor depends on zeta only
     through sgn(a)^e = zeta^(2e): it is evaluated once per sign at odd e and
     once at even e, from a zeta-independent half evaluated once per degree.
-    Each sign accumulates count * log f of its factors f, and one exp per
-    sign and cutoff gives the product the two roots of that sign share.
     """
-    lower = logs = {1: 0, -1: 0}
-    for e in range(1, pmax + 1):
+    def degree_logs(e):
         shared = _shared_factor(xis, q, e)
-        count = irreducible_count(q, e)
-        plus = count * _clog1p(_root_factor(shared, 1 + 0j, 1) - 1)
-        minus = plus if e % 2 == 0 else \
-            count * _clog1p(_root_factor(shared, 1j**e, -1) - 1)
-        logs = {1: logs[1] + plus, -1: logs[-1] + minus}
-        if e == pmax // 2:
-            lower = logs
+        plus = _clog1p(_root_factor(shared, 1 + 0j, 1) - 1)
+        return plus, (plus if e % 2 == 0 else
+                      _clog1p(_root_factor(shared, 1j**e, -1) - 1))
 
-    def by_root(log_by_sign):
-        products = {a_sign: np.exp(v) for a_sign, v in log_by_sign.items()}
-        return {zeta: products[a_sign] for zeta, a_sign in ZETA_FOURTH.items()}
-
-    return by_root(lower), by_root(logs)
+    lower, total = _euler_products(q, pmax, 2, degree_logs)
+    return dict(zip((1, -1), lower)), dict(zip((1, -1), total))
 
 
 def secondary_weight_functions(zs, zeta, q):
@@ -422,12 +425,8 @@ def secondary_weight_functions(zs, zeta, q):
     for i in range(3):
         for j in range(i, 3):
             den = den * (1 - a_sign * sq * p3 * p3 / (trio[i] ** 2 * trio[j] ** 2))
-    num1 = 1
-    prod_all = 1
-    for z in zs:
-        num1 = num1 * (1 - sq * z * z)
-        prod_all = prod_all * z
-    return num1 * s1 / den, prod_all * s2 / den
+    return (prod(1 - sq * z * z for z in zs) * s1 / den,
+            prod(zs) * s2 / den)
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +506,8 @@ def _q1_cores(zs, w_rest, q: int, products) -> list:
     """
     sq = q**0.5
     kern = _q1_kernel(zs) * w_rest
-    cores = []
-    for euler_product in products:
-        base = euler_product * kern
-        extra = base
-        for z in zs:
-            extra = extra * (1 - sq * z)
-        cores.append((base, extra))
-    return cores
+    bases = [euler_product * kern for euler_product in products]
+    return [(base, prod((1 - sq * z for z in zs), start=base)) for base in bases]
 
 
 def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
@@ -554,6 +547,8 @@ def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
 
 def q1_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
                    quad: QuadSpec = QuadSpec(), refine: bool = True) -> Coefficient:
+    """Q1(D, q): the coefficient of q^D in the moment prediction.  refine=False
+    (perfbench/make_refs.py passes it) only blanks the refinement delta."""
     return Coefficient.of(q, r, D, q1_profile(q, r, [D], euler, quad)[D], quad,
                           refine, level_one_tail_estimate, note=_q2_rank_note(r))
 
@@ -618,9 +613,9 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
         cutoffs = euler_product_regularized(zs, q, euler.pmax)
         kern = _q2_kernel(zs, 3) * w_rest
         cores = {}
-        for zeta in ZETA_FOURTH:
+        for zeta, a_sign in ZETA_FOURTH.items():
             g1, g2 = secondary_weight_functions(zs, zeta, q)
-            root_kerns = [kern * sregs[zeta] for sregs in cutoffs]
+            root_kerns = [kern * sregs[a_sign] for sregs in cutoffs]
             cores[zeta] = [(g1 * rk, g2 * rk) for rk in root_kerns]
         for d in degrees:
             damp = tailprod ** (-d)
@@ -639,15 +634,19 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
             for d in degrees}
 
 
+def _q2_entries(by_zeta: dict, D: int) -> list[complex]:
+    """Q2 at degree D from one degree of q2_term_profile: the sum over zeta
+    of zeta^D * piece, for each of the piece's three entries."""
+    return [sum(zeta**D * pieces[k] for zeta, pieces in by_zeta.items())
+            for k in range(3)]
+
+
 def q2_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
                    quad: QuadSpec = Q2_QUAD, refine: bool = True) -> Coefficient:
     """Q2(D, q): the coefficient of q^(3D/4) in the moment prediction."""
-    by_zeta = q2_term_profile(q, r, [D], euler, quad)[D]
-    values = [sum(zeta**D * pieces[k] for zeta, pieces in by_zeta.items())
-              for k in range(3)]
-    at_pmax = {zeta: pieces[1] for zeta, pieces in by_zeta.items()}
-    return Coefficient.of(q, r, D, values, quad, refine,
-                          regularized_tail_estimate, by_zeta=at_pmax)
+    entries = _q2_entries(q2_term_profile(q, r, [D], euler, quad)[D], D)
+    return Coefficient.of(q, r, D, entries, quad, refine,
+                          regularized_tail_estimate)
 
 
 def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
@@ -655,8 +654,9 @@ def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
                       quad: QuadSpec = QuadSpec()) -> dict[int, float]:
     """{D: Q1 q^D}, plus Q2 q^(3D/4) when n_terms = 2: the predicted moment.
 
-    Q2 runs on the level-two radius Q2_QUAD.rho with quad's node count, and
-    the real part of each zeta piece is added in ZETA_FOURTH order.
+    Q1 and Q2 are the values q1_coefficient and q2_coefficient report, from
+    the same profile entries; Q2 runs on the level-two radius Q2_QUAD.rho
+    with quad's node count.
     """
     if n_terms not in (1, 2):
         raise ValueError("the prediction has N = 1 or N = 2 terms")
@@ -667,20 +667,14 @@ def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
     preds = {D: q1[D][1].real * q**D for D in degrees}
     if n_terms == 2:
         quad2 = QuadSpec(rho=Q2_QUAD.rho, n_points=quad.n_points)
-        for D, pieces in q2_term_profile(q, r, degrees, euler, quad2).items():
-            for zeta, (_, piece, _) in pieces.items():
-                preds[D] += (zeta**D * piece).real * q ** (0.75 * D)
+        for D, by_zeta in q2_term_profile(q, r, degrees, euler, quad2).items():
+            preds[D] += _q2_entries(by_zeta, D)[1].real * q ** (0.75 * D)
     return preds
 
 
 def _factorial_ratio(r: int) -> Fraction:
-    num = 1
-    for k in range(0, r - 3):
-        num *= factorial(k)
-    den = 1
-    for j in range(4, r + 1):
-        den *= factorial(2 * j - 1)
-    return Fraction(num, den)
+    return Fraction(prod(factorial(k) for k in range(r - 3)),
+                    prod(factorial(2 * j - 1) for j in range(4, r + 1)))
 
 
 def q2_leading_coefficient(q: int, r: int, euler: EulerSpec = EulerSpec()

@@ -155,10 +155,10 @@ def _q2_per_root_walk(q, r, degrees, euler, quad) -> dict:
     for w_i, zs, w_rest, *_ in pr._torus(r, quad.n_points, quad.rho):
         tailprod = prod(zs[3:])
         cutoffs = pr.euler_product_regularized(zs, q, euler.pmax)
-        for zeta in pr.ZETA_FOURTH:
+        for zeta, a_sign in pr.ZETA_FOURTH.items():
             g1, g2 = pr.secondary_weight_functions(zs, zeta, q)
             for k, sregs in enumerate(cutoffs):
-                kern = pr._q2_kernel(zs, 3) * w_rest * sregs[zeta]
+                kern = pr._q2_kernel(zs, 3) * w_rest * sregs[a_sign]
                 core1 = g1 * kern
                 core2 = g2 * kern
                 for d in degrees:
@@ -552,7 +552,7 @@ def wstar_report(r: int, height_bound: int) -> WstarReport:
     for alpha in positive_real_roots_up_to_height(r, height_bound):
         rep.checked += 1
         image = apply_word(word, alpha)
-        if image.is_negative:
+        if any(image.k) and all(v <= 0 for v in image.k):
             rep.negative_class.append(alpha)
             if alpha.k not in expected_neg:
                 rep.violations.append(alpha)

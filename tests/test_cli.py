@@ -221,7 +221,7 @@ VERIFY_GOLDEN = {
         'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
         '1,5,0,5.0,5.437240158031603,-0.437240158031603,-0.1398351296870543\n'
         '2,224/5,-96/5,1.8674948320040343,4.123122035937671,-2.2556272039336367,-0.23070649307025823\n'
-        '3,20456/5,0,4091.2,4089.3047801953853,1.8952198046144986,0.06199380983865049\n'
+        '3,20456/5,0,4091.2,4089.304780195386,1.8952198046140438,0.061993809838635616\n'
     ),
 }
 
@@ -319,6 +319,8 @@ def test_verify_over_budget_fails_before_the_prediction():
     ("predict", "q1", "--D", "4", "--r", "40", "--quad", "4"),
     ("predict", "q2", "--D", "4", "--r", "40", "--quad", "4"),
     ("predict", "q1", "--D", "4", "--r", "5", "--quad", "64"),
+    # 4^12 grid points are within the budget, 4^11 per slice are not
+    ("predict", "q2", "--D", "6", "--r", "12", "--quad", "4", "--pmax", "4"),
     ("verify", "--r", "40", "--quad", "4"),
 ])
 def test_grid_over_budget_fails_before_any_allocation(args):

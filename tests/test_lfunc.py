@@ -56,8 +56,8 @@ class TestLPolynomial:
 class TestCentralValue:
     def test_constant_d_closed_forms(self):
         q = 5
-        one = FqPoly.constant(1, q)
-        theta = FqPoly.constant(2, q)
+        one = FqPoly.make([1], q)
+        theta = FqPoly.make([2], q)
         assert abs(oracles.l_eval(one, 0.3) - 1 / (1 - q ** (1 - 0.3))) < 1e-12
         assert abs(oracles.l_eval(theta, 0.3) - 1 / (1 + q ** (1 - 0.3))) < 1e-12
         assert oracles.l_at_half(one) == (KNum.one(q) - KNum.sqrt_q(q)).inv()

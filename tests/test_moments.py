@@ -54,7 +54,7 @@ class TestOracleRoutes:
         for r in range(1, 5):
             m = moments.moment(5, r, D)
             total = sum((v**r for v in values), KNum.zero(5))
-            assert total == KNum.from_sqrt_pair(m.a, m.b, 5)
+            assert total == KNum.rational(m.a, 5) + KNum.rational(m.b, 5) * KNum.sqrt_q(5)
 
     def test_float_matches_exact_embedding(self):
         m = moments.moment(5, 2, 3)
