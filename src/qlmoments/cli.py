@@ -89,13 +89,24 @@ def cmd_roots(args) -> int:
     return 0
 
 
+def _finite(v: complex) -> bool:
+    return math.isfinite(v.real) and math.isfinite(v.imag)
+
+
 def cmd_cocycle_eval(args) -> int:
     word = tuple(int(x) for x in args.word.split(","))
     z = tuple(complex(x) for x in args.z.split(","))
     if len(z) < max(word) or len(z) < 2:
         raise ValueError("z must have r+1 coordinates covering every letter")
-    q = float(args.q)
+    q = args.q
+    if not (math.isfinite(q) and q > 0):
+        raise ValueError(f"q must be finite and positive, got {q}")
+    bad = [str(k) for k, v in enumerate(z, 1) if not _finite(v)]
+    if bad:
+        raise ValueError(f"non-finite z coordinate ({', '.join(bad)})")
     m = cocycle.cocycle_matrix(word, z, q, q**0.5, 0.5)
+    if not all(_finite(v) for row in m for v in row):
+        raise ValueError("non-finite cocycle matrix entry (overflow at this z)")
     # + 0.0 prints an exact zero as 0.0 whatever its sign
     for row in m:
         print(json.dumps([[v.real + 0.0, v.imag + 0.0] for v in row]))

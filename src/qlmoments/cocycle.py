@@ -10,7 +10,11 @@ with the diagonal base matrix M(u, q) on letters 1..r and its U-conjugate
 U M U on letter r+1.  No base matrix is formed: a letter i <= r scales the
 columns of the running product by the three diagonal entries, and letter
 r+1 forms U diag(m1, m2, m3) U from five half-scalings, in the order of
-terms of the full product, before one matrix product.  Everything here is
+terms of the full product, before one matrix product.  Until the first
+letter r+1 the running product is diagonal and kept as its three entries,
+starting from the first letter's; that letter r+1 scales the rows of its
+U-conjugate by them in place of the matrix product, so no product by a
+structural zero or by the identity's ones is formed.  Everything here is
 generic over the scalar type: complex numbers, numpy arrays, and exact K
 elements all work, since only ring operators are used.  Callers pass q and
 sqrt(q) as scalars of the chosen type (the recursion never takes square
@@ -27,6 +31,8 @@ branch fixes the sign sgn(a) = zeta^2 (square_class_sign).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .exactnum import KNum
 from .kacmoody import Root
@@ -156,26 +162,44 @@ def _u_conjugate(m1, m2, m3, half) -> Matrix:
 def cocycle_matrix(word: tuple[int, ...], z: tuple, q, sqrt_q, half) -> Matrix:
     """M_w(z; q) for the word, via the cocycle recursion.
 
-    Independent of the choice of word for a fixed group element.
+    Up to the first letter r+1 the product is diagonal: it is kept as three
+    entries, started from the first letter's entries rather than the
+    identity, and the first letter r+1 scales the rows of its U-conjugate by
+    them.  Independent of the choice of word for a fixed group element.
     """
-    one = half + half
-    zero = half - half
-    acc = identity3(one, zero)
     r = len(z) - 1
+    diag = None  # the product while it is diagonal, None while empty
+    acc = None  # the full product from the first letter r+1 on
     zc = z
     for pos, letter in enumerate(reversed(word)):
         try:
             if letter <= r:
                 m = _diag_entries(zc[letter - 1], q, sqrt_q)
-                acc = tuple((row[0] * m[0], row[1] * m[1], row[2] * m[2])
-                            for row in acc)
+                if acc is not None:
+                    acc = tuple((row[0] * m[0], row[1] * m[1], row[2] * m[2])
+                                for row in acc)
+                elif diag is None:
+                    diag = m
+                else:
+                    diag = (diag[0] * m[0], diag[1] * m[1], diag[2] * m[2])
             else:
-                acc = mat_mul(acc, _u_conjugate(*_diag_entries(zc[r], q, sqrt_q),
-                                                half))
+                u = _u_conjugate(*_diag_entries(zc[r], q, sqrt_q), half)
+                if acc is not None:
+                    acc = mat_mul(acc, u)
+                elif diag is None:
+                    acc = u
+                else:
+                    acc = tuple(tuple(d * v for v in row) for d, row in zip(diag, u))
             zc = act_one(letter, zc, q, sqrt_q)
         except ZeroDivisionError as exc:
             raise SingularPointError(letter, len(word) - 1 - pos) from exc
-    return acc
+    if acc is not None:
+        return acc
+    one = half + half
+    zero = half - half
+    if diag is None:
+        return identity3(one, zero)
+    return ((diag[0], zero, zero), (zero, diag[1], zero), (zero, zero, diag[2]))
 
 
 def mbar_matrix(word: tuple[int, ...], z: tuple, q, sqrt_q, half) -> Matrix:
@@ -188,22 +212,26 @@ def mbar_matrix(word: tuple[int, ...], z: tuple, q, sqrt_q, half) -> Matrix:
 # the residue point and the scalar residue factor on the archimedean side
 
 
-def residue_point(alpha: Root, xi: tuple, zeta, q, sqrt_q, quarter_q) -> tuple:
+def residue_point(alpha: Root, xi: tuple | None, zeta, q, sqrt_q,
+                  quarter_q) -> tuple:
     """Coordinates (z_1..z_r, z_{r+1}) of the residue evaluation point.
 
     z_k = q^(-1/2) xi_k^n and the last coordinate solves the root
     constraint with the explicit branch fixed by zeta:
     z_{r+1} = zeta^(-1) q^(-(n+1)/(2n)) prod xi_i^(-k_i), n = level(alpha).
+    xi = None is the unit point xi = (1, ..., 1), where no power is formed.
     """
     n = alpha.level
     if n not in (1, 2):
         raise ValueError("supported levels are 1 and 2")
     r = alpha.rank
     inv_sqrt_q = 1 / sqrt_q
+    den = zeta * (q if n == 1 else quarter_q**3)
+    if xi is None:  # the unit point: every power of xi_k is one
+        return (inv_sqrt_q,) * r + (1 / den,)
     z = [xi[i] ** n * inv_sqrt_q for i in range(r)]
     # invert the product once, not each factor: in K an inversion costs
     # several products
-    den = zeta * (q if n == 1 else quarter_q**3)
     for x, k in zip(xi, alpha.k[:r]):
         if k:
             den = den * x**k
@@ -221,11 +249,9 @@ def gamma_factor_exact(word: tuple[int, ...], alpha: Root, a2_sign: int,
     row (1, sgn(a2), 0) . Mbar_w(z) . column (1/2, sgn(a)/2, 1/2)
     at z = residue_point(alpha, xi, zeta), xi defaulting to all ones.
     """
-    half = KNum.rational("1/2", q)
+    half = KNum.rational(Fraction(1, 2), q)
     sq = KNum.sqrt_q(q)
     qk = KNum.rational(q, q)
-    if xi is None:
-        xi = (KNum.one(q),) * alpha.rank
     z = residue_point(alpha, xi, zeta, qk, sq, KNum.root4(q, 1))
     matrix = mbar_matrix(word, z, qk, sq, half)
     col = (half, a_sign * half, half)

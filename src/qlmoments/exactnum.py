@@ -19,7 +19,11 @@ primes q = 1 mod 4 (checked at construction), for which t^4 - q is
 irreducible over Q(i) (Eisenstein at a Gaussian prime factor of q).  So K
 is a field, t -> -t and sqrt q -> -sqrt q are field automorphisms, and the
 norm, a product of nonzero conjugates, vanishes only at x = 0; inversion
-raises ArithmeticError should it ever vanish elsewhere.
+raises ArithmeticError should it ever vanish elsewhere.  A monomial c t^k,
+the shape of q, sqrt(q), q^(1/4) and the residue points built from them, is
+inverted directly as t^(4-k) conj(c) / (q |c|^2), and as conj(c) / |c|^2
+at k = 0.  The reciprocal 1/x is the inverse itself, and a product by the
+integer 1 returns the element, so neither forms a product.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ def _make(num: _Num, den: int, q: int) -> "KNum":
 
 
 def _inverse(num: _Num, den: int, q: int) -> "KNum":
-    """Inverse of num / den by its norm down K > Q(i)(s) > Q(i), s = t^2.
+    """Inverse of num / den: directly for a monomial, otherwise by its norm
+    down K > Q(i)(s) > Q(i), s = t^2.
 
     With x = A + tB, A = c0 + c2 s and B = c1 + c3 s, x (A - tB) = a + b s and
     (a + b s)(a - b s) = n lies in Q(i), so 1/x = (A - tB)(a - b s) / n.  The
@@ -60,8 +65,19 @@ def _inverse(num: _Num, den: int, q: int) -> "KNum":
     |n|^2.  Every Gaussian product is written out on the integer parts, as in
     KNum.__mul__.
     """
-    if not any(num):
+    support = [k for k in range(0, 8, 2) if num[k] or num[k + 1]]
+    if not support:
         raise ZeroDivisionError("inversion of zero in K")
+    if len(support) == 1:
+        # a monomial c t^k: 1/x = den t^(4-k) conj(c) / (q |c|^2), and
+        # den conj(c) / |c|^2 at k = 0
+        k = support[0]
+        a, b = num[k], num[k + 1]
+        out = [0] * 8
+        j = -k % 8
+        out[j], out[j + 1] = den * a, -den * b
+        norm = a * a + b * b
+        return _make(tuple(out), q * norm if k else norm, q)
     a0, b0, a1, b1, a2, b2, a3, b3 = num
     # a = c0^2 + q c2^2 - 2q c1 c3 and b = 2 c0 c2 - c1^2 - q c3^2
     ar = a0*a0 - b0*b0 + q*(a2*a2 - b2*b2 - 2*(a1*a3 - b1*b3))
@@ -179,7 +195,12 @@ class KNum:
         return (-self)._sum(other, 1)
 
     def __neg__(self):
-        return _make(tuple(-v for v in self._num), self._den, self._q)
+        # negation keeps the canonical form: no gcd to take
+        x = object.__new__(KNum)
+        x._num = tuple([-v for v in self._num])
+        x._den = self._den
+        x._q = self._q
+        return x
 
     def __mul__(self, other):
         if isinstance(other, KNum):
@@ -201,6 +222,8 @@ class KNum:
             )
             return _make(num, self._den * other._den, q)
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             n = other.numerator
             return _make(tuple(v * n for v in self._num),
                          self._den * other.denominator, self._q)
@@ -220,7 +243,8 @@ class KNum:
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.inv() * other
+            inv = self.inv()
+            return inv if other == 1 else inv * other
         return NotImplemented
 
     def __pow__(self, n: int) -> "KNum":

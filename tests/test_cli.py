@@ -372,9 +372,27 @@ def test_verify_non_finite_is_one_error_line():
     assert "non-finite prediction" in p.stderr and "--pmax" in p.stderr
 
 
-@pytest.mark.parametrize("q", ["5", "0"])
-def test_cocycle_eval_singular_point_is_one_error_line(q):
-    # u = 1 zeroes the base matrix's first denominator; q = 0 zeroes q u
-    p = run_cli("cocycle", "eval", "--word", "1", "--z", "1,0.5", "--q", q)
+def test_cocycle_eval_singular_point_is_one_error_line():
+    # u = 1 zeroes the base matrix's first denominator
+    p = run_cli("cocycle", "eval", "--word", "1", "--z", "1,0.5", "--q", "5")
     assert_one_line_error(p)
     assert p.stderr.startswith("qlm: error: cocycle base matrix singular at letter 1")
+
+
+@pytest.mark.parametrize("z, q, message", [
+    ("nan,0.7,0.3", "5", "non-finite z coordinate (1)"),
+    ("0.3,0.7,inf", "5", "non-finite z coordinate (3)"),
+    ("0.3,nan+1j,-inf", "5", "non-finite z coordinate (2, 3)"),
+    # finite input whose matrix overflows
+    ("1e308,0.7,0.3", "5", "non-finite cocycle matrix entry"),
+    ("0.3,0.7,0.3", "-5", "q must be finite and positive"),
+    # q = 0 is rejected before any letter, not reported as a singular one
+    ("1,0.5", "0", "q must be finite and positive"),
+    ("0.3,0.7,0.3", "nan", "q must be finite and positive"),
+    ("0.3,0.7,0.3", "inf", "q must be finite and positive"),
+], ids=["z-nan", "z-inf", "z-two", "z-overflow", "q-negative", "q-zero",
+        "q-nan", "q-inf"])
+def test_cocycle_eval_rejects_non_finite_input(z, q, message):
+    p = run_cli("cocycle", "eval", "--word", "1,2", "--z", z, "--q", q)
+    assert_one_line_error(p)
+    assert message in p.stderr

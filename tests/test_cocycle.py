@@ -197,6 +197,62 @@ class TestAgainstReference:
                 assert raised == [(letter, pos)] * 2
 
 
+def _count_products(monkeypatch, during=None):
+    """Wrap KNum's product and count its calls, and those with an exact-zero
+    operand; with `during`, a function name in cocycle, only the products
+    made while that function runs."""
+    seen = {"calls": 0, "zero": 0}
+    active = [during is None]
+    mul = KNum.__mul__
+
+    def counted(a, b):
+        if active[0]:
+            seen["calls"] += 1
+            if a.is_zero or (b.is_zero if isinstance(b, KNum) else b == 0):
+                seen["zero"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(KNum, "__mul__", counted)
+    monkeypatch.setattr(KNum, "__rmul__", counted)
+    if during is not None:
+        inner = getattr(cc, during)
+
+        def watched(*args):
+            active[0] = True
+            try:
+                return inner(*args)
+            finally:
+                active[0] = False
+
+        monkeypatch.setattr(cc, during, watched)
+    return seen
+
+
+class TestNoWastedProducts:
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_residue_cocycles_form_no_product_by_zero(self, monkeypatch, r):
+        # the product stays diagonal up to the first letter r+1, so neither
+        # cocycle_matrix nor the mat_mul it calls multiplies by a structural
+        # zero (the sandwich in gamma_factor_exact still reads zero entries)
+        seen = _count_products(monkeypatch, during="cocycle_matrix")
+        for level in (1, 2):
+            for alpha in km.positive_real_roots_at_level(r, level):
+                word = km.reduction_word(alpha)
+                for k in range(4):
+                    cc.gamma_factor_exact(word, alpha, 1, cc.square_class_sign(k),
+                                          KNum.fourth_root_of_unity(Q, k), Q)
+        assert seen["calls"] > 0
+        assert seen["zero"] == 0
+
+    def test_reciprocal_forms_no_product(self, monkeypatch, rng):
+        xs = [random_k_point(rng, 1)[0] + KNum.root4(Q),
+              KNum.gaussian(2, -3, Q) * KNum.root4(Q, 3)]
+        seen = _count_products(monkeypatch)
+        for x in xs:
+            1 / x
+        assert seen["calls"] == 0
+
+
 class TestConstantMatrices:
     def test_u_squares_to_identity(self, kctx):
         u = oracles.u_matrix(kctx["half"])

@@ -176,6 +176,32 @@ def test_inverse_matches_tower_on_large_elements():
             KNum.zero(q).inv()
 
 
+def test_monomial_inverse_matches_tower():
+    # c t^k with both parts of c nonzero, in each sign pattern, over large
+    # denominators
+    rng = random.Random(4093)
+    for q in (5, 13, 17):
+        for k in range(4):
+            for sr, si in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                coords = [(Fraction(0), Fraction(0))] * 4
+                coords[k] = (sr * Fraction(rng.randint(1, 10**40), rng.randint(1, 10**40)),
+                             si * Fraction(rng.randint(1, 10**40), rng.randint(1, 10**40)))
+                x = KNum(tuple(coords), q)
+                assert x.inv().coords == k_inverse_tower(x.coords, q)
+                assert x * x.inv() == KNum.one(q)
+
+
+def test_scalar_over_element_is_inverse_times_scalar():
+    rng = random.Random(4099)
+    for q in (5, 13):
+        for _ in range(20):
+            x = _seeded_k(rng, q, 10**6)
+            if x.is_zero:
+                continue
+            for n in (1, -1, 7, Fraction(-3, 11)):
+                assert n / x == x.inv() * n
+
+
 def test_pow_matches_repeated_products():
     rng = random.Random(4051)
     for q in (5, 13):
@@ -294,7 +320,7 @@ def test_results_are_canonical(xyz, s, n):
         results.append(x ** n)
     assert all(_canonical(v) for v in results)
     # one value reached by different routes: equal numerators, equal hashes
-    pairs = [((x * y) * z, x * (y * z)), (x - x, KNum.zero(q)),
+    pairs = [((x * y) * z, x * (y * z)), (x - x, KNum.zero(q)), (-x, x * -1),
              (x + y - y, x), (KNum(x.coords, q), x)]
     if not x.is_zero:
         pairs.append((x * x.inv(), KNum.one(q)))
