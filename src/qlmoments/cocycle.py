@@ -255,10 +255,18 @@ def gamma_factor_exact(word: tuple[int, ...], alpha: Root, a2_sign: int,
     z = residue_point(alpha, xi, zeta, qk, sq, KNum.root4(q, 1))
     matrix = mbar_matrix(word, z, qk, sq, half)
     col = (half, a_sign * half, half)
+    zero = KNum.zero(q)
     # the third row of Mbar_w . col is never read
-    row0, row1 = (m[0] * col[0] + m[1] * col[1] + m[2] * col[2]
-                  for m in matrix[:2])
-    return (2 ** len(word)) * (row0 + a2_sign * row1)
+    row0, row1 = (_dot(m, col, zero) for m in matrix[:2])
+    total = row0 if row1.is_zero else row0 + a2_sign * row1
+    return total if total.is_zero else (2 ** len(word)) * total
+
+
+def _dot(row, col, zero):
+    """row . col in K, with no product by a zero entry of row (a diagonal
+    Mbar's structural zeros)."""
+    terms = [a * b for a, b in zip(row, col) if not a.is_zero]
+    return sum(terms[1:], terms[0]) if terms else zero
 
 
 def square_class_sign(zeta_power: int) -> int:

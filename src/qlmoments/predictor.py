@@ -28,9 +28,16 @@ accurate for these analytic integrands), and both coefficients are summed
 by one accumulator, _grid_sums, over the one grid generator _torus, for
 every r >= 1.  The rule on n // 2 nodes per circle reads the even-index
 nodes of the n-node grid, so one grid pass yields both cutoffs and both
-grids.
+grids.  The nodes come in exact conjugate pairs and the walk takes each
+leading node right before its conjugate, so Q2, whose integrand has real
+coefficients, computes only the slices of leads 0..n / 2 and reads each
+other slice off its partner, conjugated with its indices negated.  Q1
+keeps its per-slice evaluation: its table sorts the arguments of A, so
+conjugate points are not exact conjugates there.
 Both coefficients are reported as a Coefficient record: the value, its
-relative imaginary residue, and its relative change from cutoff pmax to
+relative imaginary residue (for Q2 only the summation's rounding, since
+the mirrored slices make its grid sum real up to the order of the sums;
+see README "Numerical notes"), and its relative change from cutoff pmax to
 pmax // 2 (the truncation tail) and from the grid to its even-index half
 (the refinement delta).  One assembly of Q2, _q2_entries, serves
 q2_coefficient and moment_prediction.  Exact q^(1/4)-polynomial
@@ -171,8 +178,24 @@ class Coefficient:
 
 
 def _circle(n: int, rho: float, center: complex = 1.0):
-    phase = np.exp(2j * np.pi * np.arange(n) / n)
+    """The n trapezoid nodes center + rho e^(2 pi i k / n) and their weights.
+
+    The phases come in exact conjugate pairs: phase n - k is the conjugate
+    of phase k, phase 0 is 1 and phase n / 2 is -1.  So on a real center
+    node n - k is the conjugate of node k bit for bit, and so is its weight.
+    Phase 2k on n nodes is phase k on n // 2 nodes, bit for bit.
+    """
+    phase = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    phase[n // 2] = -1
+    phase = np.concatenate([phase, phase[n // 2 - 1:0:-1].conj()])
     return center + rho * phase, rho * phase / n
+
+
+def _mirror_order(n: int) -> list[int]:
+    """0, 1, n - 1, 2, n - 2, ..., n / 2: every node index once, each k
+    outside {0, n / 2} followed by its conjugate partner n - k.  Its even
+    entries, halved, are _mirror_order(n // 2)."""
+    return [0] + [i for k in range(1, n // 2) for i in (k, n - k)] + [n // 2]
 
 
 def _torus(r: int, n: int, rho: float, center: complex = 1.0):
@@ -185,10 +208,16 @@ def _torus(r: int, n: int, rho: float, center: complex = 1.0):
     the node indices of zs in the same layout: the leading index i, then
     broadcast views of range(n).
 
+    The leading index goes in _mirror_order, so on a real center the slice
+    of lead n - k comes right after that of lead k, its conjugate: a real-
+    coefficient integrand there is conj(f[(-i) % n]) on every broadcast axis
+    (q2_term_profile reads it so).
+
     The n // 2-node rule has the even-index nodes and exactly twice the
     weights, so the walk also covers its half grid: half indexes the
     even-index sub-lattice of the broadcast axes on a slice whose leading
-    index is even (every r = 1 slice), and is None otherwise.  The sum of
+    index is even (every r = 1 slice), and is None otherwise.  The even
+    leads come in the order of the n // 2-node walk, so the sum of
     w_i * (f(zs) * w_rest)[half] over those slices, times 2^r, is the
     half-grid integral of f bit for bit where the values agree, since the
     scale is a power of two.
@@ -203,7 +232,7 @@ def _torus(r: int, n: int, rho: float, center: complex = 1.0):
     indices = [index.reshape(shape) for shape in shapes]
     w_rest = prod([w.reshape(shape) for shape in shapes])
     sub = (slice(None, None, 2),) * k
-    for lead in itertools.product(range(n), repeat=r - k):
+    for lead in itertools.product(_mirror_order(n), repeat=r - k):
         half = None if any(i % 2 for i in lead) else sub
         yield (np.prod(w[list(lead)]), [nodes[i] for i in lead] + views,
                w_rest, half, list(lead) + indices)
@@ -602,26 +631,56 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     serves all roots, in ZETA_FOURTH order, degrees, both cutoffs and both
     grids.  Each slice forms the root-independent kernel once and each
     damping power once per degree, shared by the four roots.
+
+    The integrand has real coefficients and its float evaluation commutes
+    with conjugation bit for bit, so the cores (the weights times the kernel,
+    w_rest and the level-two product) are computed only on the slices of
+    leads 0..n / 2.  A slice of lead k is kept for one step, and the slice of
+    its partner n - k (next in _torus) reads the core of root zeta as
+    conj(core[(-i) % n, ...]) of root conj(zeta), one piece at a time.
     """
     _require_modulus(q)
     if note := _q2_rank_note(r):
         raise ValueError(f"the level-two coefficient is {note}")
     degrees = _degrees(degrees)
+    n = quad.n_points
+    axes = tuple(range(r - 1))  # the broadcast axes of a slice
+    kept = {}  # lead k: its cores, until the slice of lead n - k
 
-    def pieces(zs, w_rest, _):
-        tailprod = prod(zs[3:])
+    def mirrored(cores):
+        for zeta, j in cores:
+            per_cutoff = []
+            for core in cores[zeta.conjugate(), j]:
+                # index (-i) % n on every axis: reversed, then shifted by one
+                image = np.roll(np.flip(core), 1, axis=axes)
+                per_cutoff.append(np.conjugate(image, out=image))
+            yield (zeta, j), per_cutoff
+
+    def computed(zs, w_rest):
         cutoffs = euler_product_regularized(zs, q, euler.pmax)
         kern = _q2_kernel(zs, 3) * w_rest
         cores = {}
         for zeta, a_sign in ZETA_FOURTH.items():
             g1, g2 = secondary_weight_functions(zs, zeta, q)
             root_kerns = [kern * sregs[a_sign] for sregs in cutoffs]
-            cores[zeta] = [(g1 * rk, g2 * rk) for rk in root_kerns]
-        for d in degrees:
-            damp = tailprod ** (-d)
-            for zeta, per_cutoff in cores.items():
-                for j in (0, 1):  # first, second
-                    yield (d, zeta, j), damp, [pair[j] for pair in per_cutoff]
+            cores[zeta, 0] = [g1 * rk for rk in root_kerns]  # first
+            cores[zeta, 1] = [g2 * rk for rk in root_kerns]  # second
+        return cores
+
+    def pieces(zs, w_rest, at):
+        lead = at[0]
+        if lead > n // 2:
+            items = mirrored(kept.pop(n - lead))
+        else:
+            cores = computed(zs, w_rest)
+            if 0 < lead < n // 2:
+                kept[lead] = cores
+            items = cores.items()
+        tailprod = prod(zs[3:])
+        damps = [tailprod ** (-d) for d in degrees]
+        for (zeta, j), per_cutoff in items:
+            for d, damp in zip(degrees, damps):
+                yield (d, zeta, j), damp, per_cutoff
 
     sums = _grid_sums(r, quad, pieces)
     sign = _sign(r)

@@ -212,16 +212,16 @@ VERIFY_GOLDEN = {
     "1": (
         '# note: normalization: unit auxiliary series assumed for r = 4\n'
         'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
-        '1,5,0,5.0,5.512539208090553,-0.5125392080905531,-0.12535115494180032\n'
-        '2,224/5,-96/5,1.8674948320040343,2.169694742111621,-0.3021999101075865,-0.018075770690581677\n'
-        '3,20456/5,0,4091.2,4097.044831630774,-5.844831630774024,-0.0855018957034633\n'
+        '1,5,0,5.0,5.512539207624893,-0.5125392076248927,-0.12535115482791426\n'
+        '2,224/5,-96/5,1.8674948320040343,2.169694720334986,-0.3021998883309518,-0.01807576938803511\n'
+        '3,20456/5,0,4091.2,4097.044831859724,-5.844831859723854,-0.08550189905268629\n'
     ),
     "2": (
         '# note: normalization: unit auxiliary series assumed for r = 4\n'
         'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
-        '1,5,0,5.0,5.437240158031603,-0.437240158031603,-0.1398351296870543\n'
-        '2,224/5,-96/5,1.8674948320040343,4.123122035937671,-2.2556272039336367,-0.23070649307025823\n'
-        '3,20456/5,0,4091.2,4089.304780195386,1.8952198046140438,0.061993809838635616\n'
+        '1,5,0,5.0,5.437240157579996,-0.43724015757999624,-0.13983512954262456\n'
+        '2,224/5,-96/5,1.8674948320040343,4.12312201464616,-2.255627182642126,-0.2307064908925536\n'
+        '3,20456/5,0,4091.2,4089.3047804254707,1.8952195745291647,0.061993802312417176\n'
     ),
 }
 
@@ -237,14 +237,14 @@ def test_verify_golden_stdout(n_terms):
 # byte so that a change in how the contour grid is walked shows
 PREDICT_GOLDEN = {
     "q1": (
-        '{"D": 6, "imag_rel": 8.583627599191128e-11, "kind": "q1", "q": 5, '
-        '"r": 4, "refinement_delta": 1.0781359810455967e-06, '
-        '"truncation_tail": 0.0002554912181963279, "value": 70.95844083650891}\n'
+        '{"D": 6, "imag_rel": 5.2813673740881664e-11, "kind": "q1", "q": 5, '
+        '"r": 4, "refinement_delta": 1.0781254730308842e-06, '
+        '"truncation_tail": 0.00025549119981691453, "value": 70.95844084001978}\n'
     ),
     "q2": (
-        '{"D": 6, "imag_rel": 1.379520020400359e-08, "kind": "q2", "q": 5, '
-        '"r": 4, "refinement_delta": 2.257410501393631e-05, '
-        '"truncation_tail": 0.04252681569660267, "value": -0.35097736275814123}\n'
+        '{"D": 6, "imag_rel": 1.7476858373454098e-14, "kind": "q2", "q": 5, '
+        '"r": 4, "refinement_delta": 2.2497642698263676e-05, '
+        '"truncation_tail": 0.04252690166707746, "value": -0.35097739421926094}\n'
     ),
 }
 

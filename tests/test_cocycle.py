@@ -229,18 +229,32 @@ def _count_products(monkeypatch, during=None):
 
 
 class TestNoWastedProducts:
-    @pytest.mark.parametrize("r", [4, 5])
-    def test_residue_cocycles_form_no_product_by_zero(self, monkeypatch, r):
-        # the product stays diagonal up to the first letter r+1, so neither
-        # cocycle_matrix nor the mat_mul it calls multiplies by a structural
-        # zero (the sandwich in gamma_factor_exact still reads zero entries)
-        seen = _count_products(monkeypatch, during="cocycle_matrix")
+    @staticmethod
+    def residue_factors_products(monkeypatch, r, during):
+        """The products counted during one function over the residue
+        factors of every level-1 and level-2 root at rank r, all four zeta."""
+        seen = _count_products(monkeypatch, during=during)
         for level in (1, 2):
             for alpha in km.positive_real_roots_at_level(r, level):
                 word = km.reduction_word(alpha)
                 for k in range(4):
                     cc.gamma_factor_exact(word, alpha, 1, cc.square_class_sign(k),
                                           KNum.fourth_root_of_unity(Q, k), Q)
+        return seen
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_residue_cocycles_form_no_product_by_zero(self, monkeypatch, r):
+        # the product stays diagonal up to the first letter r+1, so neither
+        # cocycle_matrix nor the mat_mul it calls multiplies by a structural
+        # zero
+        seen = self.residue_factors_products(monkeypatch, r, "cocycle_matrix")
+        assert seen["calls"] > 0
+        assert seen["zero"] == 0
+
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_residue_sandwich_forms_no_product_by_zero(self, monkeypatch, r):
+        # the sandwich row . Mbar . column skips a diagonal Mbar's zeros
+        seen = self.residue_factors_products(monkeypatch, r, "gamma_factor_exact")
         assert seen["calls"] > 0
         assert seen["zero"] == 0
 

@@ -543,12 +543,17 @@ class TestQ2:
             pr.q2_leading_coefficient(Q, 3)
 
     # n = 32 slices (32^3 complex, 512 KiB) exceed numpy's 256 KiB
-    # temporary-elision size, where naming a temporary can move last bits
-    @pytest.mark.parametrize("n, degrees", [(16, [6, 20, 30, 40]), (32, [6, 20])])
-    def test_slice_factors_once_match_the_per_root_loop(self, n, degrees):
+    # temporary-elision size, where naming a temporary can move last bits.
+    # The oracle evaluates every slice, where the profile reads each slice
+    # past lead n / 2 off its conjugate partner.
+    @pytest.mark.parametrize("q, r, n, degrees", [(5, 4, 16, [6, 20, 30, 40]),
+                                                  (5, 4, 32, [6, 20]),
+                                                  (13, 4, 16, [6, 20]),
+                                                  (5, 5, 8, [4, 6])])
+    def test_slice_factors_once_match_the_per_root_loop(self, q, r, n, degrees):
         euler, quad = pr.EulerSpec(12), pr.QuadSpec(0.05, n)
-        got = pr.q2_term_profile(Q, 4, degrees, euler, quad)
-        want = oracles.q2_term_profile_per_root(Q, 4, degrees, euler, quad)
+        got = pr.q2_term_profile(q, r, degrees, euler, quad)
+        want = oracles.q2_term_profile_per_root(q, r, degrees, euler, quad)
         assert repr(got) == repr(want)
 
     def test_value_reality_and_refinement(self):
@@ -662,6 +667,33 @@ class TestGridSums:
         slices.clear()
         res = pr.q2_coefficient(Q, 4, 6, pr.EulerSpec(12), quad)
         assert math.isfinite(res.value) and len(slices) == quad.n_points
+
+
+class TestConjugateGrid:
+    """The nodes come in exact conjugate pairs and the walk visits each
+    partner right after its lead, which q2_term_profile's mirror reads."""
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 64])
+    def test_circle_nodes_and_weights_are_exact_conjugate_pairs(self, n):
+        rho = 0.05
+        nodes, w = pr._circle(n, rho)
+        mirror = -np.arange(n) % n
+        for values in (nodes, w):
+            assert np.array_equal(values[mirror], values.conj())
+        assert nodes[0] == 1 + rho and nodes[n // 2] == 1 - rho
+        # the half rule's nodes are the even-index ones, bit for bit
+        half, _ = pr._circle(n // 2, rho)
+        assert nodes[::2].tobytes() == half.tobytes()
+
+    @pytest.mark.parametrize("r, n", [(2, 8), (4, 16), (5, 8)])
+    def test_torus_follows_each_lead_with_its_partner(self, r, n):
+        slices = [(w_i, zs[0], at[0]) for w_i, zs, _, _, at in pr._torus(r, n, 0.05)]
+        leads = [lead for *_, lead in slices]
+        assert sorted(leads) == list(range(n))
+        assert leads[0] == 0 and leads[-1] == n // 2
+        for (w_k, z_k, k), (w_p, z_p, p) in zip(slices[1:-1:2], slices[2:-1:2]):
+            assert 0 < k < n // 2 and p == n - k
+            assert (w_p, z_p) == (w_k.conjugate(), z_k.conjugate())
 
 
 class TestHalfGrid:
