@@ -16,14 +16,13 @@ import sys
 import numpy as np
 
 from . import cocycle, kacmoody, moments, predictor
-from .ffpoly import BudgetExceededError
 
 VERIFY_NOTE = "normalization: unit auxiliary series assumed for r = 4"
 
 
 def cmd_moments(args) -> int:
-    degrees = range(args.dmin, args.dmax + 1)
-    moments.check_request(args.q, args.r, degrees, args.method)
+    degrees = moments.check_request(args.q, args.r,
+                                    range(args.dmin, args.dmax + 1), args.method)
     if args.format == "csv":
         print("q,r,D,moment_a,moment_b,moment_float,count,seconds")
     for D in degrees:
@@ -133,8 +132,8 @@ def default_theta(n_terms: int) -> float:
 
 
 def cmd_verify(args) -> int:
-    degrees = list(range(args.dmin, args.dmax + 1))
-    moments.check_request(args.q, args.r, degrees, "reflect")
+    degrees = moments.check_request(args.q, args.r,
+                                    range(args.dmin, args.dmax + 1), "reflect")
     theta = args.theta if args.theta is not None else default_theta(args.N)
     if not 1 / (args.N + 1) < theta < 1 / args.N:
         raise ValueError(f"theta must lie in (1/{args.N + 1}, 1/{args.N})")
@@ -236,7 +235,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, BudgetExceededError, cocycle.SingularPointError) as exc:
+    except (ValueError, cocycle.SingularPointError) as exc:
         print(f"qlm: error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,12 +10,15 @@ below is a GCD-style chain of such swaps.
 The character-sum sieve and the per-d reference routes of the moment oracle
 work on raw tuples and integer indices of monic polynomials (the oracle's
 numpy table route does not); :class:`FqPoly` wraps them for the public API.
-The module keeps what a moment computation runs: tuple arithmetic, the
-squarefree test, the symbol, monic indexing and the factor sieve.
+The module keeps what a moment computation runs: tuple multiplication and
+reduction, the squarefree test, the symbol, monic indexing and the factor
+sieve.
 
 _require_modulus checks q by trial division on every call, with no cache:
-that costs a fraction of a microsecond at the moduli in use.  FactorSieve
-refuses any table above the fixed CELL_BUDGET before allocating it.
+that costs a fraction of a microsecond at the moduli in use.
+_require_request adds the rules every moment and prediction request shares
+(r >= 1, a nonempty set of degrees D >= 1).  FactorSieve refuses any table
+above the fixed CELL_BUDGET before allocating it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ __all__ = [
 CELL_BUDGET = 50_000_000
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(ValueError):
     """Raised when a requested table or scan exceeds the configured budget."""
 
 
@@ -50,6 +53,21 @@ def _require_modulus(q: int) -> None:
         if q % n == 0:
             raise ValueError(f"modulus must be prime, got {q}")
         n += 2
+
+
+def _require_request(q: int, r: int, degrees) -> list[int]:
+    """The degrees of a moment or prediction request of order r at modulus
+    q, distinct and in increasing order; raise ValueError unless q is a
+    prime = 1 mod 4, r >= 1 and the degrees are a nonempty set of D >= 1."""
+    _require_modulus(q)
+    if r < 1:
+        raise ValueError("need r >= 1")
+    out = sorted(set(degrees))
+    if not out:
+        raise ValueError("need at least one degree")
+    if out[0] < 1:
+        raise ValueError("need every degree D >= 1")
+    return out
 
 
 _SQUARES: dict[int, frozenset[int]] = {}
@@ -80,15 +98,6 @@ def _trim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _add(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % q
-    return _trim(out)
-
-
 def _mul(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
     if not a or not b:
         return ()
@@ -116,23 +125,6 @@ def _mod(a: tuple[int, ...], b: tuple[int, ...], q: int) -> tuple[int, ...]:
                     work[i + j] = (work[i + j] - c * b[j]) % q
             work[i + lb - 1] = 0
     return _trim(work)
-
-
-def _divmod(a: tuple[int, ...], b: tuple[int, ...], q: int):
-    lb = len(b)
-    if lb == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], q - 2, q)
-    work = list(a)
-    quo = [0] * max(0, len(a) - lb + 1)
-    for i in range(len(a) - lb, -1, -1):
-        c = (work[i + lb - 1] * inv_lead) % q
-        if c:
-            quo[i] = c
-            for j in range(lb):
-                if b[j]:
-                    work[i + j] = (work[i + j] - c * b[j]) % q
-    return _trim(quo), _trim(work)
 
 
 def _monic(a: tuple[int, ...], q: int) -> tuple[int, ...]:
@@ -277,31 +269,6 @@ class FqPoly:
 
     def __mul__(self, other: "FqPoly") -> "FqPoly":
         return FqPoly(_mul(self.coeffs, other.coeffs, self.q), self.q)
-
-    def __add__(self, other: "FqPoly") -> "FqPoly":
-        return FqPoly(_add(self.coeffs, other.coeffs, self.q), self.q)
-
-    def __mod__(self, other: "FqPoly") -> "FqPoly":
-        quo, rem = _divmod(self.coeffs, other.coeffs, self.q)
-        return FqPoly(rem, self.q)
-
-    def __divmod__(self, other: "FqPoly"):
-        quo, rem = _divmod(self.coeffs, other.coeffs, self.q)
-        return FqPoly(quo, self.q), FqPoly(rem, self.q)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"FqPoly(0; q={self.q})"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                if i == 0:
-                    terms.append(str(c))
-                elif i == 1:
-                    terms.append("x" if c == 1 else f"{c}*x")
-                else:
-                    terms.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
-        return f"FqPoly({' + '.join(terms)}; q={self.q})"
 
 
 class FactorSieve:

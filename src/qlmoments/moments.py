@@ -97,14 +97,6 @@ def _estimated_ops(q: int, D: int, method: str) -> int:
     return q ** (2 * D - 1)
 
 
-def _check_input(q: int, D: int, method: str) -> None:
-    ffpoly._require_modulus(q)
-    if D < 1:
-        raise ValueError("need D >= 1")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-
-
 def check_budget(q: int, D: int, method: str = "reflect") -> None:
     """Raise BudgetExceededError if degree D would exceed OP_BUDGET."""
     if (ops := _estimated_ops(q, D, method)) > OP_BUDGET:
@@ -112,16 +104,16 @@ def check_budget(q: int, D: int, method: str = "reflect") -> None:
             f"D = {D}: estimated {ops} ops exceeds budget {OP_BUDGET}")
 
 
-def check_request(q: int, r: int, degrees, method: str) -> None:
-    """Check a moment request before any degree is computed: r >= 1 and,
-    at every degree of a nonempty range, _check_input and the budget."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if not degrees:
-        raise ValueError("need at least one degree")
+def check_request(q: int, r: int, degrees, method: str) -> list[int]:
+    """The distinct degrees of a moment request in increasing order, checked
+    before any is computed: the rules every request shares (modulus, r >= 1,
+    degrees; ffpoly._require_request), the method and OP_BUDGET."""
+    degrees = ffpoly._require_request(q, r, degrees)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     for D in degrees:
-        _check_input(q, D, method)
         check_budget(q, D, method)
+    return degrees
 
 
 def _scaled_power(coeffs: tuple[int, ...], q: int, r: int) -> tuple[int, int]:
@@ -209,7 +201,7 @@ def low_half_histogram(q: int, D: int) -> dict[tuple[int, ...], int]:
     h = _half_degree(D); the functional equation (lfunc._reflect_coefficients)
     completes each key to the full L-polynomial coefficient list.
     """
-    _check_input(q, D, "reflect")
+    check_request(q, 1, [D], "reflect")
     h = _half_degree(D)
     k = 0  # digits below x^k vary inside a block of q^k <= BLOCK indices
     while k < D and q ** (k + 1) <= BLOCK:
@@ -257,7 +249,7 @@ def l_histogram(q: int, D: int, method: str = "reflect"
     equation; "sieve" and "naive" compute the coefficients of every d, in
     one serial pass.
     """
-    _check_input(q, D, method)
+    check_request(q, 1, [D], method)
     if method == "reflect":
         return {tuple(lfunc._reflect_coefficients(list(low), D, q)): mult
                 for low, mult in low_half_histogram(q, D).items()}

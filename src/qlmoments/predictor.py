@@ -48,16 +48,17 @@ quadrature boundary.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, log, prod
 
 import numpy as np
 
 from .cocycle import (de_diagonals, gamma_table_entry, mbar_closed,
                       square_class_sign)
 from .exactnum import l_at_half_unit, zeta_at_half
-from .ffpoly import _require_modulus, irreducible_count
+from .ffpoly import _require_modulus, _require_request, irreducible_count
 
 __all__ = [
     "EulerSpec",
@@ -98,7 +99,9 @@ class EulerSpec:
     pmax = 1) is kept on the way; a value's relative change between the two
     is its truncation tail.  A level-two factor is evaluated once per
     (degree, sgn(a)^e), 18 of 4 * 12 at pmax = 12, on top of a
-    zeta-independent half evaluated once per degree.
+    zeta-independent half evaluated once per degree.  At modulus q the
+    cutoff must also keep q^pmax a finite float (check_range), a bound on
+    every q^e and irreducible count it uses: pmax <= 441 at q = 5.
     """
 
     pmax: int = 12
@@ -106,6 +109,14 @@ class EulerSpec:
     def __post_init__(self) -> None:
         if self.pmax < 1:
             raise ValueError("pmax must be >= 1")
+
+    def check_range(self, q: int) -> None:
+        """Raise ValueError if q^pmax overflows a float."""
+        try:
+            float(q) ** self.pmax
+        except OverflowError:
+            top = int(log(sys.float_info.max, q))
+            raise ValueError(f"pmax must be <= {top} at q = {q}") from None
 
 
 @dataclass(frozen=True)
@@ -282,14 +293,6 @@ def _grid_sums(r: int, quad: QuadSpec, slice_pieces) -> dict:
             break
     return {key: (lower, val, 2**r * half)
             for key, (lower, val, half) in acc.items()}
-
-
-def _degrees(degrees) -> list[int]:
-    """The distinct degrees in increasing order; each must be >= 1."""
-    out = sorted(set(degrees))
-    if any(d < 1 for d in out):
-        raise ValueError("degrees must be >= 1")
-    return out
 
 
 def _sign(r: int) -> int:
@@ -550,10 +553,8 @@ def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     once per multiset of node indices (_level_one_table), and each slice
     gathers its values by the rank of its sorted indices.
     """
-    _require_modulus(q)
-    if r < 1:
-        raise ValueError("need r >= 1")
-    degrees = _degrees(degrees)
+    degrees = _require_request(q, r, degrees)
+    euler.check_range(q)
     n = quad.n_points
     _check_budget(r, n)  # before the table, which grows with the grid
     table = _level_one_table(q, r, euler.pmax, quad)
@@ -639,10 +640,10 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     its partner n - k (next in _torus) reads the core of root zeta as
     conj(core[(-i) % n, ...]) of root conj(zeta), one piece at a time.
     """
-    _require_modulus(q)
+    degrees = _require_request(q, r, degrees)
+    euler.check_range(q)
     if note := _q2_rank_note(r):
         raise ValueError(f"the level-two coefficient is {note}")
-    degrees = _degrees(degrees)
     n = quad.n_points
     axes = tuple(range(r - 1))  # the broadcast axes of a slice
     kept = {}  # lead k: its cores, until the slice of lead n - k
@@ -719,9 +720,9 @@ def moment_prediction(q: int, r: int, degrees, n_terms: int = 1,
     """
     if n_terms not in (1, 2):
         raise ValueError("the prediction has N = 1 or N = 2 terms")
+    degrees = _require_request(q, r, degrees)
     if n_terms == 2 and (note := _q2_rank_note(r)):  # before the Q1 grid pass
         raise ValueError(f"the second term (N = 2) is {note}")
-    degrees = _degrees(degrees)
     q1 = q1_profile(q, r, degrees, euler, quad)
     preds = {D: q1[D][1].real * q**D for D in degrees}
     if n_terms == 2:
@@ -746,6 +747,7 @@ def q2_leading_coefficient(q: int, r: int, euler: EulerSpec = EulerSpec()
     sum_k (i^k)^D * piece[k].
     """
     _require_modulus(q)
+    euler.check_range(q)
     if note := _q2_rank_note(r):
         raise ValueError(f"the closed-form Q2 is {note}")
     front = float(Fraction(2) ** (19 - 7 * r) * _factorial_ratio(r))

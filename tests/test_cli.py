@@ -349,6 +349,39 @@ def test_verify_second_term_needs_rank_four():
     assert "r >= 4" in p.stderr
 
 
+@pytest.mark.parametrize("rule, message", [
+    (("--r", "0"), "need r >= 1"),
+    (("--dmin", "0"), "need every degree D >= 1"),
+], ids=["rank", "degree"])
+@pytest.mark.parametrize("command", [
+    ("moments",),
+    ("predict", "q1", "--D", "4"),
+    ("predict", "q2", "--D", "4"),
+    ("verify",),
+], ids=["moments", "q1", "q2", "verify"])
+def test_request_rules_are_refused_in_one_text(command, rule, message):
+    # the moments and the predictions accept the same (q, r, D), so each
+    # rule is refused in the same words whichever command breaks it
+    if command[0] == "predict" and rule[0] == "--dmin":
+        rule = ("--D", "0")
+    p = run_cli(*command, *rule, timeout=30)
+    assert_one_line_error(p)
+    assert p.stderr == f"qlm: error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("predict", "q1", "--D", "4", "--quad", "8", "--pmax", "442"),
+    ("predict", "q2", "--D", "4", "--quad", "8", "--pmax", "442"),
+    ("verify", "--dmin", "3", "--dmax", "3", "--quad", "8", "--pmax", "445"),
+    ("predict", "q2", "--q", "13", "--D", "4", "--quad", "8", "--pmax", "277"),
+], ids=["q1", "q2", "verify", "q2-q13"])
+def test_pmax_beyond_the_float_range_is_refused(args):
+    # q^pmax overflows a float: 5^442 and 13^277
+    p = run_cli(*args, timeout=30)
+    assert_one_line_error(p)
+    assert "pmax must be <= " in p.stderr
+
+
 def test_predict_refinement_null_without_a_half_grid():
     # --quad 8 has no half grid of >= 8 nodes: the delta is null, not 0.0
     p = run_cli("predict", "q1", "--q", "5", "--r", "4", "--D", "4",

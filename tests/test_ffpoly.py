@@ -114,17 +114,14 @@ class TestSieveAndEnumeration:
     def test_sieve_reconstructs_products(self, sieve5):
         q = 5
         for deg in (1, 2, 3, 4):
-            for idx in range(q**deg):
-                c = monic_from_index(q, deg, idx)
-                rebuilt = (1,)
-                rest = c
-                while len(rest) > 1:
-                    p = oracles.smallest_factor(sieve5, rest)
-                    quo, rem = ffpoly._divmod(rest, p, q)
-                    assert rem == ()
-                    rebuilt = ffpoly._mul(rebuilt, p, q)
-                    rest = quo
-                assert rebuilt == c
+            for idx, ent in enumerate(sieve5.factor_pointers(deg)):
+                if ent is None:  # an irreducible
+                    continue
+                e, p_idx, cof_deg, k_idx = ent
+                p = sieve5.irreducibles(e)[p_idx]
+                cofactor = monic_from_index(q, cof_deg, k_idx)
+                assert cof_deg == deg - e >= e
+                assert ffpoly._mul(p, cofactor, q) == monic_from_index(q, deg, idx)
 
     def test_irreducibles_map_to_themselves(self, sieve5):
         p = sieve5.irreducibles(3)[7]
@@ -150,8 +147,3 @@ class TestPolyType:
     def test_squarefree(self):
         assert poly([2, 0, 1]).is_squarefree()
         assert not (poly([0, 1]) * poly([0, 1])).is_squarefree()
-
-    def test_divmod(self):
-        a, b = poly([1, 2, 3, 1]), poly([2, 1])
-        quo, rem = divmod(a, b)
-        assert quo * b + rem == a

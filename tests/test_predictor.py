@@ -43,6 +43,16 @@ def poly_h(rng: random.Random):
     return h
 
 
+@pytest.fixture
+def no_walk(monkeypatch):
+    """Fail any call that reaches the grid walk or the level-one table."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid walk started")
+
+    monkeypatch.setattr(pr, "_torus", refuse)
+    monkeypatch.setattr(pr, "_level_one_table", refuse)
+
+
 class TestSpecs:
     def test_quad_spec_validation(self):
         with pytest.raises(ValueError):
@@ -75,8 +85,37 @@ class TestEntryValidation:
 
     @pytest.mark.parametrize("D", [0, -3])
     def test_q2_rejects_degree_below_one(self, D):
-        with pytest.raises(ValueError, match="degrees must be >= 1"):
+        with pytest.raises(ValueError, match="need every degree D >= 1"):
             pr.q2_coefficient(Q, 4, D, self.EULER, self.QUAD)
+
+    @pytest.mark.parametrize("call", [
+        lambda euler, quad: pr.q1_profile(Q, 4, [], euler, quad),
+        lambda euler, quad: pr.q2_term_profile(Q, 4, [], euler, quad),
+        lambda euler, quad: pr.moment_prediction(Q, 4, [], 2, euler, quad),
+    ], ids=["q1_profile", "q2_term_profile", "moment_prediction"])
+    def test_empty_degree_list_is_refused_before_any_grid_work(self, no_walk,
+                                                               call):
+        with pytest.raises(ValueError, match="need at least one degree"):
+            call(self.EULER, self.QUAD)
+
+    # the largest cutoffs with q^pmax a finite float
+    @pytest.mark.parametrize("q, top", [(5, 441), (13, 276), (17, 250)])
+    def test_pmax_range_ends_where_q_to_the_pmax_overflows(self, q, top):
+        pr.EulerSpec(top).check_range(q)
+        with pytest.raises(ValueError, match=f"pmax must be <= {top} at q = {q}"):
+            pr.EulerSpec(top + 1).check_range(q)
+
+    @pytest.mark.parametrize("q, pmax", [(5, 442), (5, 445), (13, 277)])
+    @pytest.mark.parametrize("call", [
+        lambda q, euler, quad: pr.q1_coefficient(q, 4, 4, euler, quad),
+        lambda q, euler, quad: pr.q2_coefficient(q, 4, 4, euler, quad),
+        lambda q, euler, quad: pr.moment_prediction(q, 4, [3], 2, euler, quad),
+        lambda q, euler, quad: pr.q2_leading_coefficient(q, 4, euler),
+    ], ids=["q1", "q2", "moment_prediction", "q2_leading"])
+    def test_pmax_out_of_range_is_refused_before_any_grid_work(
+            self, no_walk, call, q, pmax):
+        with pytest.raises(ValueError, match="pmax must be <= "):
+            call(q, pr.EulerSpec(pmax), self.QUAD)
 
 
 class TestContour:
@@ -611,13 +650,6 @@ class TestQ2:
 
 class TestGridBudget:
     """Every contour sum checks GRID_BUDGET before its grid walk starts."""
-
-    @pytest.fixture
-    def no_walk(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the grid walk started")
-
-        monkeypatch.setattr(pr, "_torus", refuse)
 
     @pytest.mark.parametrize("call", [
         lambda: pr.q1_profile(Q, 13, [4], pr.EulerSpec(6), pr.QuadSpec(0.1, 4)),
