@@ -17,8 +17,8 @@ sieve.
 _require_modulus checks q by trial division on every call, with no cache:
 that costs a fraction of a microsecond at the moduli in use.
 _require_request adds the rules every moment and prediction request shares
-(r >= 1, a nonempty set of degrees D >= 1).  FactorSieve refuses any table
-above the fixed CELL_BUDGET before allocating it.
+(r >= 1, a nonempty set of degrees D >= 1).  check_sieve_budget refuses a
+FactorSieve above the fixed CELL_BUDGET before anything is allocated.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "FactorSieve",
     "BudgetExceededError",
     "build_sieve",
+    "check_sieve_budget",
     "monic_from_index",
     "index_of_monic",
     "irreducible_count",
@@ -42,6 +43,14 @@ CELL_BUDGET = 50_000_000
 
 class BudgetExceededError(ValueError):
     """Raised when a requested table or scan exceeds the configured budget."""
+
+
+def check_sieve_budget(q: int, max_deg: int) -> None:
+    """Raise BudgetExceededError if a FactorSieve to max_deg passes CELL_BUDGET."""
+    cells = sum(q**n for n in range(1, max_deg + 1))
+    if cells > CELL_BUDGET:
+        raise BudgetExceededError(
+            f"sieve would need {cells} cells, budget is {CELL_BUDGET}")
 
 
 def _require_modulus(q: int) -> None:
@@ -282,11 +291,7 @@ class FactorSieve:
         _require_modulus(q)
         if max_deg < 1:
             raise ValueError("max_deg must be >= 1")
-        cells = sum(q**n for n in range(1, max_deg + 1))
-        if cells > CELL_BUDGET:
-            raise BudgetExceededError(
-                f"sieve would need {cells} cells, budget is {CELL_BUDGET}"
-            )
+        check_sieve_budget(q, max_deg)
         self.q = q
         self.max_deg = max_deg
         # table[n][idx]: factorization pointer for the monic poly (n, idx)

@@ -97,17 +97,27 @@ def _estimated_ops(q: int, D: int, method: str) -> int:
     return q ** (2 * D - 1)
 
 
+def _sieve_degree(D: int, method: str) -> int | None:
+    """The degree of the factor sieve a route builds at D (naive: None)."""
+    if method == "naive":
+        return None
+    return max(1, D // 2 if method == "reflect" else D - 1)
+
+
 def check_budget(q: int, D: int, method: str = "reflect") -> None:
-    """Raise BudgetExceededError if degree D would exceed OP_BUDGET."""
+    """Raise BudgetExceededError if degree D would exceed OP_BUDGET or its
+    factor sieve ffpoly.CELL_BUDGET."""
     if (ops := _estimated_ops(q, D, method)) > OP_BUDGET:
         raise BudgetExceededError(
             f"D = {D}: estimated {ops} ops exceeds budget {OP_BUDGET}")
+    if (max_deg := _sieve_degree(D, method)) is not None:
+        ffpoly.check_sieve_budget(q, max_deg)
 
 
 def check_request(q: int, r: int, degrees, method: str) -> list[int]:
     """The distinct degrees of a moment request in increasing order, checked
     before any is computed: the rules every request shares (modulus, r >= 1,
-    degrees; ffpoly._require_request), the method and OP_BUDGET."""
+    degrees; ffpoly._require_request), the method and both budgets."""
     degrees = ffpoly._require_request(q, r, degrees)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -206,7 +216,7 @@ def low_half_histogram(q: int, D: int) -> dict[tuple[int, ...], int]:
     k = 0  # digits below x^k vary inside a block of q^k <= BLOCK indices
     while k < D and q ** (k + 1) <= BLOCK:
         k += 1
-    sieve = ffpoly.build_sieve(q, max(1, D // 2))
+    sieve = ffpoly.build_sieve(q, _sieve_degree(D, "reflect"))
     mask = _squarefree_mask(q, D, sieve)
     assert int(mask.sum()) == squarefree_count(q, D)
     plans = [_DegreePlan(q, D, n, k, sieve.irreducibles(n))
@@ -253,7 +263,8 @@ def l_histogram(q: int, D: int, method: str = "reflect"
     if method == "reflect":
         return {tuple(lfunc._reflect_coefficients(list(low), D, q)): mult
                 for low, mult in low_half_histogram(q, D).items()}
-    sieve = ffpoly.build_sieve(q, max(1, D - 1)) if method == "sieve" else None
+    sieve = (ffpoly.build_sieve(q, _sieve_degree(D, method))
+             if method == "sieve" else None)
     hist: dict[tuple[int, ...], int] = {}
     for idx in range(q**D):
         coeffs = ffpoly.monic_from_index(q, D, idx)

@@ -17,23 +17,20 @@ running value at pmax // 2.  One log-sum, _euler_products, serves both
 levels (see EulerSpec), and every log is _clog1p of the factor minus 1,
 built from real ufuncs with no branch.  The level-two product is kept per
 sign sgn(a) = zeta^2, which each root reads through ZETA_FOURTH.
-The level-one product is symmetric in all r variables, so Q1 evaluates it
-once per multiset of node indices, C(n + r - 1, r) of the n^r grid points,
-and each slice gathers its values; the level-two product is symmetric only
-in (z_1, z_2, z_3), and the roundoff of its factor minus 1, formed by
-subtraction, would be repeated over each multiset's orders and amplified
-by the counts, so it is evaluated at every grid point.
+The Q1 integrand is symmetric in all r variables and exactly 0 where two
+nodes coincide, so Q1 sums it once per strictly increasing tuple of node
+indices, C(n, r) of the n^r grid points, in blocks of one largest index;
+that r! cancels the 1 / r! of the residue.  The level-two product is
+symmetric only in (z_1, z_2, z_3), so Q2 walks the whole grid.
 All contour quadrature is the trapezoid rule on circles (spectrally
-accurate for these analytic integrands), and both coefficients are summed
-by one accumulator, _grid_sums, over the one grid generator _torus, for
-every r >= 1.  The rule on n // 2 nodes per circle reads the even-index
-nodes of the n-node grid, so one grid pass yields both cutoffs and both
-grids.  The nodes come in exact conjugate pairs and the walk takes each
-leading node right before its conjugate, so Q2, whose integrand has real
-coefficients, computes only the slices of leads 0..n / 2 and reads each
-other slice off its partner, conjugated with its indices negated.  Q1
-keeps its per-slice evaluation: its table sorts the arguments of A, so
-conjugate points are not exact conjugates there.
+accurate for these analytic integrands).  Q2 is summed by one accumulator,
+_grid_sums, over the grid generator _torus.  The rule on n // 2 nodes per
+circle reads the even-index nodes of the n-node grid, so one pass yields
+both cutoffs and both grids, for Q1 as for Q2.  The nodes come in exact
+conjugate pairs and the walk takes each leading node right before its
+conjugate, so Q2, whose integrand has real coefficients, computes only the
+slices of leads 0..n / 2 and reads each other slice off its partner,
+conjugated with its indices negated.
 Both coefficients are reported as a Coefficient record: the value, its
 relative imaginary residue (for Q2 only the summation's rounding, since
 the mirrored slices make its grid sum real up to the order of the sums;
@@ -47,7 +44,6 @@ quadrature boundary.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -212,12 +208,10 @@ def _mirror_order(n: int) -> list[int]:
 def _torus(r: int, n: int, rho: float, center: complex = 1.0):
     """Walk the r-fold trapezoid grid one slice at a time.
 
-    Yields (w_i, zs, w_rest, half, at): the last max(r - 1, 1) variables of
-    zs are broadcast views of all n nodes and w_rest is the product of their
-    weights; the leading variable, if any is left, is node i with weight
-    w_i.  For r = 1 the one slice is (1, [nodes], w, half, at).  at holds
-    the node indices of zs in the same layout: the leading index i, then
-    broadcast views of range(n).
+    Yields (w_i, zs, w_rest, half, lead): the last max(r - 1, 1) variables
+    of zs are broadcast views of all n nodes and w_rest is the product of
+    their weights; the leading variable, if any is left, is node lead with
+    weight w_i.  For r = 1 the one slice is (1.0, [nodes], w, half, None).
 
     The leading index goes in _mirror_order, so on a real center the slice
     of lead n - k comes right after that of lead k, its conjugate: a real-
@@ -237,23 +231,22 @@ def _torus(r: int, n: int, rho: float, center: complex = 1.0):
     k = max(r - 1, 1)
     shapes = [[n if b == a else 1 for b in range(k)] for a in range(k)]
     views = [nodes.reshape(shape) for shape in shapes]
-    # the smallest integer type, since sorting a slice's indices makes
-    # full-size arrays of them
-    index = np.arange(n, dtype=np.min_scalar_type(n - 1))
-    indices = [index.reshape(shape) for shape in shapes]
     w_rest = prod([w.reshape(shape) for shape in shapes])
     sub = (slice(None, None, 2),) * k
-    for lead in itertools.product(_mirror_order(n), repeat=r - k):
-        half = None if any(i % 2 for i in lead) else sub
-        yield (np.prod(w[list(lead)]), [nodes[i] for i in lead] + views,
-               w_rest, half, list(lead) + indices)
+    if r == 1:
+        yield 1.0, views, w_rest, sub, None
+        return
+    for lead in _mirror_order(n):
+        yield (w[lead], [nodes[lead]] + views, w_rest,
+               None if lead % 2 else sub, lead)
 
 
 #: Most grid points n_points^r that one contour sum may walk, and most
 #: points n_points^max(r - 1, 1) in one slice of it.  Time grows with the
 #: points and memory with the slice (463 MB for Q2 at r = 6 on 16 nodes,
-#: 2^20 points per slice; 1.77 GB at r = 12 on 4 nodes, 2^22), and for Q1
-#: with its level-one table, 2 x C(n_points + r - 1, r) complex values.
+#: 2^20 points per slice; 1.77 GB at r = 12 on 4 nodes, 2^22).  Q1 holds
+#: one block of C(n_points - 1, r - 1) <= n_points^(r - 1) points at a time,
+#: and its r x C(n_points, r) index tuples.
 GRID_BUDGET = 2**24
 SLICE_BUDGET = 2**20
 
@@ -271,7 +264,7 @@ def _check_budget(r: int, n: int) -> None:
 def _grid_sums(r: int, quad: QuadSpec, slice_pieces) -> dict:
     """The trapezoid sums of every integrand piece over the r-fold grid.
 
-    slice_pieces(zs, w_rest, at) gives the pieces of one slice of _torus as
+    slice_pieces(zs, w_rest, lead) gives the pieces of one slice of _torus as
     (key, damp, cores), one core per Euler cutoff (pmax // 2, then pmax);
     cores carry the slice weight w_rest.  Returns {key: (sum at pmax // 2,
     sum at pmax, sum at pmax on the half grid)}, each the sum over slices of
@@ -282,8 +275,8 @@ def _grid_sums(r: int, quad: QuadSpec, slice_pieces) -> dict:
     n = quad.n_points
     _check_budget(r, n)
     acc = {}
-    for w_i, zs, w_rest, half, at in _torus(r, n, quad.rho):
-        for key, damp, cores in slice_pieces(zs, w_rest, at):
+    for w_i, zs, w_rest, half, lead in _torus(r, n, quad.rho):
+        for key, damp, cores in slice_pieces(zs, w_rest, lead):
             sums = acc.setdefault(key, [0j, 0j, 0j])
             for k, core in enumerate(cores):
                 sums[k] += w_i * (core * damp).sum()
@@ -466,72 +459,42 @@ def secondary_weight_functions(zs, zeta, q):
 
 
 def _q1_kernel(zs):
-    """The Q1 kernel: pair Vandermonde factors over order-2r poles at z_i = 1."""
+    """The Q1 kernel: pair Vandermonde factors over order-2r poles at z_i = 1.
+    Fresh factors multiply from the left, so numpy's temporary elision on
+    large arrays cannot swap a complex multiply's operands (and bits)."""
     r = len(zs)
     out = 1
     for i in range(r):
         for j in range(i + 1, r):
-            out = out * (zs[j] - zs[i]) ** 2 * (1 - zs[i] * zs[j])
+            out = (zs[j] - zs[i]) ** 2 * (1 - zs[i] * zs[j]) * out
     for z in zs:
-        out = out * (1 - z) ** (-2 * r) * z ** (-r)
+        out = (1 - z) ** (-2 * r) * z ** (-r) * out
     return out
 
 
-def _multisets(n: int, r: int):
-    """The nondecreasing r-tuples of node indices range(n), as the columns
-    of an (r, C(n + r - 1, r)) array in colex order: column c is the
-    multiset of rank c (see _multiset_rank).
+def _combinations(n: int, r: int):
+    """The strictly increasing r-tuples of node indices range(n), as the
+    columns of an (r, C(n, r)) array in colex order.
 
     The r-tuples with largest entry t extend the (r - 1)-tuples within
-    range(t + 1), which are the first C(t + r - 1, r - 1) of their order.
+    range(t), which are the first C(t, r - 1) of their order: columns
+    C(t, r) .. C(t + 1, r).  Past r = n there are none.
     """
     dtype = np.min_scalar_type(n - 1)
     sets = np.zeros((0, 1), dtype)  # the one empty tuple
     for k in range(1, r + 1):
         blocks = []
         for t in range(n):
-            head = sets[:, :comb(t + k - 1, k - 1)]
+            head = sets[:, :comb(t, k - 1)]
             blocks.append(np.vstack([head, np.full((1, head.shape[1]), t, dtype)]))
         sets = np.concatenate(blocks, axis=1)
     return sets
 
 
-def _multiset_rank(at, binoms):
-    """The colex rank sum_k C(a_k + k, k + 1) of the sorted node indices
-    a_0 <= ... <= a_(r-1) of every point, where at holds the r index arrays
-    (broadcastable) and binoms[k][a] = C(a + k, k + 1)."""
-    a = list(at)
-    for end in range(len(a) - 1, 0, -1):  # a bubble sorting network
-        for j in range(end):
-            a[j], a[j + 1] = np.minimum(a[j], a[j + 1]), np.maximum(a[j], a[j + 1])
-    return sum(b[a_k] for b, a_k in zip(binoms, a))
-
-
-def _level_one_table(q: int, r: int, pmax: int, quad: QuadSpec):
-    """The level-one products (to pmax // 2, to pmax) at every multiset of
-    node indices, as a (2, C(n + r - 1, r)) array indexed by colex rank.
-
-    The arguments of A go in index order, which the map k -> 2k from the
-    n // 2 nodes to the even nodes keeps, so the half grid reads the values
-    of a table on n // 2 nodes.  The blocks hold half a slice's points: A
-    on gathered nodes has full-size temporaries where a slice's broadcast
-    views have small ones, so this keeps the build's peak memory under the
-    walk's.
-    """
-    n = quad.n_points
-    nodes, _ = _circle(n, quad.rho)
-    sets = _multisets(n, r)
-    table = np.empty((2, sets.shape[1]), complex)
-    block = n ** max(r - 1, 1) // 2
-    for s in range(0, sets.shape[1], block):
-        table[0, s:s + block], table[1, s:s + block] = euler_product_level_one(
-            [nodes[a] for a in sets[:, s:s + block]], q, pmax)
-    return table
-
-
 def _q1_cores(zs, w_rest, q: int, products) -> list:
-    """The Q1 integrand on one slice, from the level-one products A at
-    Euler cutoffs pmax // 2 and pmax: one (base, extra) core per cutoff.
+    """The Q1 integrand at the points zs with weights w_rest, from the
+    level-one products A at Euler cutoffs pmax // 2 and pmax: one (base,
+    extra) core per cutoff.
 
     base is A times the kernel times w_rest; extra is base times
     prod (1 - sqrt(q) z), the core of the even degrees.
@@ -546,33 +509,42 @@ def q1_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
                quad: QuadSpec = QuadSpec()
                ) -> dict[int, tuple[complex, complex, complex]]:
     """{D: (Q1 at Euler cutoff pmax // 2, Q1 at pmax, Q1 at pmax on the
-    half grid)} for every degree in the list, sharing one grid pass; each
-    slice forms the damping prod(z)^(-(D // 2)) once per degree.
+    half grid)} for every degree in the list, from one pass.
 
-    The level-one product A is symmetric in the z_i, so it is evaluated
-    once per multiset of node indices (_level_one_table), and each slice
-    gathers its values by the rank of its sorted indices.
+    The integrand is symmetric in the z_i and exactly 0 where two nodes
+    coincide, so the n^r-point trapezoid sum is r! times the sum over the
+    strictly increasing node-index tuples (_combinations), and that r!
+    cancels the residue's 1 / r!.  Each block of one largest index t (at
+    r = 1 all n nodes) forms A, the weights and each damping once.  The
+    half grid is 2^r times the sum over the tuples of even indices: those
+    of block 2s, halved, are block s of the n // 2-node pass, in order.
     """
     degrees = _require_request(q, r, degrees)
     euler.check_range(q)
     n = quad.n_points
-    _check_budget(r, n)  # before the table, which grows with the grid
-    table = _level_one_table(q, r, euler.pmax, quad)
-    binoms = [np.array([comb(a + k, k + 1) for a in range(n)]) for k in range(r)]
-
-    def pieces(zs, w_rest, at):
-        cores = _q1_cores(zs, w_rest, q, table[:, _multiset_rank(at, binoms)])
+    _check_budget(r, n)
+    nodes, w = _circle(n, quad.rho)
+    tuples = _combinations(n, r)
+    edges = [comb(t, r) for t in range(r - 1, n + 1)] if r > 1 else [0, n]
+    sums = {d: [0j, 0j, 0j] for d in degrees}
+    for lo, hi in zip(edges, edges[1:]):
+        block = tuples[:, lo:hi]
+        zs = [nodes[a] for a in block]
+        cores = _q1_cores(zs, prod(w[a] for a in block), q,
+                          euler_product_level_one(zs, q, euler.pmax))
+        even = ~(block % 2).any(axis=0)
         prodz = prod(zs)
         for d in degrees:
-            yield d, prodz ** (-(d // 2)), [extra if d % 2 == 0 else base
-                                            for base, extra in cores]
-
-    sums = _grid_sums(r, quad, pieces)
-    pref_even = (1 - 1 / q) * (1 - q**0.5) ** (-r) * _sign(r) / factorial(r)
-    pref_odd = (1 - 1 / q) * _sign(r) / factorial(r)
+            damp = prodz ** (-(d // 2))
+            lower, core = [extra if d % 2 == 0 else base for base, extra in cores]
+            sums[d][0] += (lower * damp).sum()
+            sums[d][1] += (core * damp).sum()
+            sums[d][2] += (core[even] * damp[even]).sum()
+    pref_even = (1 - 1 / q) * (1 - q**0.5) ** (-r) * _sign(r)
+    pref_odd = (1 - 1 / q) * _sign(r)
     return {d: tuple(complex((pref_even if d % 2 == 0 else pref_odd) * v)
-                     for v in sums[d])
-            for d in degrees}
+                     for v in (lower, val, 2**r * half))
+            for d, (lower, val, half) in sums.items()}
 
 
 def q1_coefficient(q: int, r: int, D: int, euler: EulerSpec = EulerSpec(),
@@ -668,8 +640,7 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
             cores[zeta, 1] = [g2 * rk for rk in root_kerns]  # second
         return cores
 
-    def pieces(zs, w_rest, at):
-        lead = at[0]
+    def pieces(zs, w_rest, lead):
         if lead > n // 2:
             items = mirrored(kept.pop(n - lead))
         else:

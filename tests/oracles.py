@@ -184,9 +184,11 @@ def r_p_3(z1, z2, z3, q):
 
 def q1_profile_per_point(q: int, r: int, degrees, euler: pr.EulerSpec,
                          quad: pr.QuadSpec) -> dict:
-    """predictor.q1_profile with the level-one product A evaluated on every
-    slice of the walk, at all n^r grid points, where the production profile
-    evaluates it once per multiset of node indices and gathers it."""
+    """predictor.q1_profile as the full trapezoid sum: the integrand,
+    level-one product A included, on every slice of the torus walk, at all
+    n^r grid points, over r!.  The production profile sums the C(n, r)
+    strictly increasing node-index tuples once each, since the integrand is
+    symmetric and vanishes where two nodes coincide."""
     degrees = sorted(set(degrees))
 
     def pieces(zs, w_rest, _):

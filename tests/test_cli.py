@@ -212,16 +212,16 @@ VERIFY_GOLDEN = {
     "1": (
         '# note: normalization: unit auxiliary series assumed for r = 4\n'
         'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
-        '1,5,0,5.0,5.512539207624893,-0.5125392076248927,-0.12535115482791426\n'
-        '2,224/5,-96/5,1.8674948320040343,2.169694720334986,-0.3021998883309518,-0.01807576938803511\n'
-        '3,20456/5,0,4091.2,4097.044831859724,-5.844831859723854,-0.08550189905268629\n'
+        '1,5,0,5.0,5.512539221905172,-0.5125392219051719,-0.12535115832042656\n'
+        '2,224/5,-96/5,1.8674948320040343,2.1696947504233135,-0.3021999184192792,-0.018075771187736858\n'
+        '3,20456/5,0,4091.2,4097.044831886888,-5.844831886887732,-0.08550189945005669\n'
     ),
     "2": (
         '# note: normalization: unit auxiliary series assumed for r = 4\n'
         'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
-        '1,5,0,5.0,5.437240157579996,-0.43724015757999624,-0.13983512954262456\n'
-        '2,224/5,-96/5,1.8674948320040343,4.12312201464616,-2.255627182642126,-0.2307064908925536\n'
-        '3,20456/5,0,4091.2,4089.3047804254707,1.8952195745291647,0.061993802312417176\n'
+        '1,5,0,5.0,5.437240171860275,-0.4372401718602754,-0.13983513410964488\n'
+        '2,224/5,-96/5,1.8674948320040343,4.123122044734488,-2.2556272127304533,-0.23070649397000031\n'
+        '3,20456/5,0,4091.2,4089.3047804526345,1.8952195473652864,0.06199380142386995\n'
     ),
 }
 
@@ -237,9 +237,9 @@ def test_verify_golden_stdout(n_terms):
 # byte so that a change in how the contour grid is walked shows
 PREDICT_GOLDEN = {
     "q1": (
-        '{"D": 6, "imag_rel": 5.2813673740881664e-11, "kind": "q1", "q": 5, '
-        '"r": 4, "refinement_delta": 1.0781254730308842e-06, '
-        '"truncation_tail": 0.00025549119981691453, "value": 70.95844084001978}\n'
+        '{"D": 6, "imag_rel": 6.97185473065105e-11, "kind": "q1", "q": 5, '
+        '"r": 4, "refinement_delta": 1.0780782402925287e-06, '
+        '"truncation_tail": 0.00025549121817545193, "value": 70.95844084230716}\n'
     ),
     "q2": (
         '{"D": 6, "imag_rel": 1.7476858373454098e-14, "kind": "q2", "q": 5, '
@@ -313,6 +313,32 @@ def test_verify_over_budget_fails_before_the_prediction():
     p = run_cli("verify", "--dmin", "12", "--dmax", "12", "--N", "2", timeout=30)
     assert_one_line_error(p)
     assert "budget" in p.stderr
+
+
+# the CLI with the prediction refused, so a check that comes after it fails
+NO_PREDICTION = """
+import sys
+from qlmoments import cli, predictor
+def refuse(*args, **kwargs):
+    raise AssertionError("the prediction started")
+predictor.moment_prediction = refuse
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ("moments", "--q", "50000017", "--dmax", "1"),
+    ("verify", "--q", "50000017", "--dmin", "1", "--dmax", "1", "--quad", "8"),
+], ids=["moments", "verify"])
+def test_sieve_over_budget_fails_before_any_output(args):
+    # D = 1 costs no symbol evaluations, but its factor sieve of degree 1
+    # needs q > CELL_BUDGET cells: it is refused before the CSV header and
+    # before the prediction
+    p = subprocess.run([sys.executable, "-c", NO_PREDICTION, *args],
+                       capture_output=True, text=True, timeout=30, env=ENV)
+    assert_one_line_error(p)
+    assert p.stderr == ("qlm: error: sieve would need 50000017 cells, "
+                        "budget is 50000000\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -96,6 +96,18 @@ class TestOracleRoutes:
         with pytest.raises(BudgetExceededError):
             moments.moment(q, 1, d_max + 1)
 
+    def test_budget_sizes_each_route_by_its_own_sieve(self, monkeypatch):
+        # at q = 5 a factor sieve of degree 3 has 155 cells, of degree 4 780;
+        # the table route builds degree D // 2, the sieve route D - 1
+        monkeypatch.setattr(ffpoly, "CELL_BUDGET", 155)
+        moments.check_budget(5, 7, "reflect")
+        with pytest.raises(BudgetExceededError, match="sieve would need 780 "):
+            moments.check_budget(5, 8, "reflect")
+        moments.check_budget(5, 4, "sieve")
+        with pytest.raises(BudgetExceededError, match="sieve would need 780 "):
+            moments.check_budget(5, 5, "sieve")
+        moments.check_budget(5, 8, "naive")  # builds no sieve
+
 
 class TestTableRoute:
     """The table route ("reflect") against the per-d reference routes.

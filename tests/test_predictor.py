@@ -45,12 +45,12 @@ def poly_h(rng: random.Random):
 
 @pytest.fixture
 def no_walk(monkeypatch):
-    """Fail any call that reaches the grid walk or the level-one table."""
+    """Fail any call that reaches Q2's grid walk or Q1's tuple pass."""
     def refuse(*args, **kwargs):
         raise AssertionError("the grid walk started")
 
     monkeypatch.setattr(pr, "_torus", refuse)
-    monkeypatch.setattr(pr, "_level_one_table", refuse)
+    monkeypatch.setattr(pr, "_combinations", refuse)
 
 
 class TestSpecs:
@@ -522,23 +522,25 @@ class TestQ1TopCoefficient:
             assert abs(got - want) <= self.GAP[q, r, n][1] * abs(want)
 
 
-class TestLevelOneTable:
-    """q1_profile evaluates A once per multiset of node indices and gathers
-    it; oracles.q1_profile_per_point evaluates it at every grid point."""
+class TestQ1Combinations:
+    """q1_profile sums over the strictly increasing node-index tuples, one
+    block per largest index; oracles.q1_profile_per_point sums over every
+    grid point."""
 
-    @pytest.mark.parametrize("n, r", [(4, 1), (5, 3), (8, 4), (6, 5)])
-    def test_rank_of_every_multiset_is_its_column(self, n, r):
-        sets = pr._multisets(n, r)
-        assert sets.shape == (r, math.comb(n + r - 1, r))
-        assert np.all(np.diff(sets, axis=0) >= 0)  # nondecreasing columns
-        binoms = [np.array([math.comb(a + k, k + 1) for a in range(n)])
-                  for k in range(r)]
-        # in reversed order, so the rank sorts its indices itself
-        ranks = pr._multiset_rank(list(sets[::-1]), binoms)
-        assert list(ranks) == list(range(sets.shape[1]))
+    @pytest.mark.parametrize("n, r", [(4, 1), (5, 3), (8, 4), (6, 5), (4, 5)])
+    def test_columns_are_the_increasing_tuples_in_colex_order(self, n, r):
+        tuples = pr._combinations(n, r)
+        assert tuples.shape == (r, math.comb(n, r))
+        assert np.all(np.diff(tuples, axis=0) > 0)  # strictly increasing
+        want = sorted(itertools.combinations(range(n), r), key=lambda c: c[::-1])
+        assert [tuple(c) for c in tuples.T.tolist()] == want
+        # the block of largest index t is columns C(t, r) .. C(t + 1, r)
+        for t in range(n):
+            block = tuples[:, math.comb(t, r):math.comb(t + 1, r)]
+            assert np.all(block[-1] == t)
 
     @pytest.mark.parametrize("r, n", [(1, 16), (3, 8), (4, 16), (5, 8)])
-    def test_level_one_runs_once_per_multiset(self, monkeypatch, r, n):
+    def test_level_one_runs_on_the_increasing_tuples(self, monkeypatch, r, n):
         points = []
         euler = pr.euler_product_level_one
 
@@ -548,16 +550,32 @@ class TestLevelOneTable:
 
         monkeypatch.setattr(pr, "euler_product_level_one", counted)
         pr.q1_profile(Q, r, [4, 5], pr.EulerSpec(6), pr.QuadSpec(0.1, n))
-        assert sum(points) == math.comb(n + r - 1, r)
-        assert max(points) <= n ** max(r - 1, 1) // 2  # half a slice
+        assert sum(points) == math.comb(n, r)
+        # one call per nonempty block: C(t, r - 1) <= C(n - 1, r - 1) points
+        # for largest index t, and at r = 1 one call on all n nodes
+        assert points == ([n] if r == 1 else
+                          [math.comb(t, r - 1) for t in range(r - 1, n)])
+
+    def test_rank_above_the_node_count_is_zero(self):
+        # no increasing 5-tuple of 4 nodes exists, and every grid point has
+        # two equal nodes, where the kernel is exactly 0
+        euler, quad = pr.EulerSpec(6), pr.QuadSpec(0.1, 4)
+        got = pr.q1_profile(Q, 5, [4, 5], euler, quad)
+        want = oracles.q1_profile_per_point(Q, 5, [4, 5], euler, quad)
+        assert list(got) == list(want) == [4, 5]
+        for D in (4, 5):
+            assert all(g == 0j for g in got[D])
+            assert got[D] == want[D]
 
     # Largest relative gap measured over q = 5 and 13, D = 3..6 and the
-    # three entries of each degree: 0 at r = 1, 5.4e-12 at r = 3, 9.7e-9 at
-    # r = 4, 7.3e-13 at r = 5 on 8 nodes, 5.1e-5 at r = 5 on 16.  The gather
-    # repeats one rounding of A (~5e-15, mostly from degree 1) over the r!
-    # orders of a multiset, and the contour sum's cancellation ratio
+    # three entries of each degree: 0 at r = 1 (the same points in the same
+    # order), 3.6e-12 at r = 3, 1.1e-8 at r = 4, 6.3e-13 at r = 5 on 8
+    # nodes, 4.3e-5 at r = 5 on 16.  The tuple sum adds each increasing
+    # tuple once, where the walk adds its r! orders apart, so the roundings
+    # of the two sums differ, and the contour sum's cancellation ratio
     # sum |w f| / |sum w f| (1.6e9 at r = 4, D = 2, n = 16; 5.8e10 at r = 5,
-    # D = 4, n = 16) carries it into Q1.  Bounds are ~10x the gaps.
+    # D = 4, n = 16) carries the difference into Q1.  Bounds are ~10x the
+    # gaps.
     GATHER_GAP = {(1, 8): 0.0, (1, 16): 0.0, (3, 8): 5e-11, (3, 16): 5e-11,
                   (4, 8): 1e-7, (4, 16): 1e-7, (5, 8): 1e-11, (5, 16): 5e-4}
 
@@ -614,6 +632,7 @@ class TestQ2:
         assert res.value == sum(z**5 * p[1] for z, p in pieces[5].items()).real
 
     def test_one_torus_walk_serves_every_root(self, monkeypatch):
+        # Q2 walks one torus; Q1 sums its increasing tuples and walks none
         walks = []
         torus = pr._torus
 
@@ -626,17 +645,17 @@ class TestQ2:
                                     pr.QuadSpec(0.05, 8))
         assert len(walks) == 1
         assert all(list(pieces[D]) == list(pr.ZETA_FOURTH) for D in (4, 5))
-        # a coefficient reads its refinement delta off the same walk
-        for coefficient, rho in ((pr.q1_coefficient, 0.1),
-                                 (pr.q2_coefficient, 0.05)):
+        # a coefficient reads its refinement delta off the same pass
+        for coefficient, rho, n_walks in ((pr.q1_coefficient, 0.1, 0),
+                                          (pr.q2_coefficient, 0.05, 1)):
             walks.clear()
             res = coefficient(Q, 4, 5, pr.EulerSpec(6), pr.QuadSpec(rho, 16))
-            assert len(walks) == 1
+            assert len(walks) == n_walks
             assert res.refine_delta is not None
-        # a two-term prediction walks one grid per radius, each n^r points
+        # a two-term prediction walks only Q2's grid, on its own radius
         walks.clear()
         pr.moment_prediction(Q, 4, [4, 5], 2, pr.EulerSpec(6), pr.QuadSpec(0.1, 8))
-        assert walks == [(4, 8, 0.1), (4, 8, pr.Q2_QUAD.rho)]
+        assert walks == [(4, 8, pr.Q2_QUAD.rho)]
 
     def test_leading_coefficient_pieces(self):
         lead = pr.q2_leading_coefficient(Q, 4, pr.EulerSpec(8))
@@ -719,7 +738,7 @@ class TestConjugateGrid:
 
     @pytest.mark.parametrize("r, n", [(2, 8), (4, 16), (5, 8)])
     def test_torus_follows_each_lead_with_its_partner(self, r, n):
-        slices = [(w_i, zs[0], at[0]) for w_i, zs, _, _, at in pr._torus(r, n, 0.05)]
+        slices = [(w_i, zs[0], lead) for w_i, zs, _, _, lead in pr._torus(r, n, 0.05)]
         leads = [lead for *_, lead in slices]
         assert sorted(leads) == list(range(n))
         assert leads[0] == 0 and leads[-1] == n // 2
@@ -730,7 +749,7 @@ class TestConjugateGrid:
 
 class TestHalfGrid:
     """The half-grid entry of a profile, read off the even-index nodes of its
-    one walk, is the pmax entry of the same profile on n // 2 nodes."""
+    one pass, is the pmax entry of the same profile on n // 2 nodes."""
 
     @staticmethod
     def values(profile, k):
@@ -743,15 +762,18 @@ class TestHalfGrid:
                 out.extend(entry if isinstance(entry, tuple) else [entry])
         return out
 
-    # n = 32 slices (32^3 complex, 512 KiB) exceed numpy's 256 KiB
-    # temporary-elision size, where the full-grid values the half grid
-    # shares can differ from the half walk's in the last bits
+    # The n = 32 row keeps the bound of the former slice walk, whose 32^3
+    # complex slices (512 KiB) exceeded numpy's 256 KiB temporary-elision
+    # size, where the shared values could differ in the last bits.  Q1's
+    # blocks on 64 nodes (up to C(63, 3) points, 635 KiB) exceed it too,
+    # and match bit for bit because _q1_kernel keeps its operand order.
     @pytest.mark.parametrize("profile, q, r, n, rel", [
         (pr.q1_profile, 5, 4, 16, 0.0),
         (pr.q1_profile, 13, 4, 16, 0.0),
         (pr.q1_profile, 5, 1, 16, 0.0),
         (pr.q1_profile, 5, 3, 16, 0.0),
         (pr.q1_profile, 5, 4, 32, 1e-10),
+        (pr.q1_profile, 5, 4, 64, 0.0),
         (pr.q2_term_profile, 5, 4, 16, 0.0),
         (pr.q2_term_profile, 13, 4, 16, 0.0),
     ])

@@ -33,11 +33,13 @@ def test_tracer_installs_and_counts_a_traced_prediction():
                        capture_output=True, text=True, timeout=120, env=env)
     assert p.returncode == 0, p.stderr
     report = json.loads(p.stdout.splitlines()[-1])
-    # two r = 4 walks on 8 nodes, one tail each; the level-two product once
-    # per slice of leads 0..4 (the other three are read off their conjugate
-    # partners), the level-one product once per block of its table: the
-    # C(11, 4) = 330 multisets of node indices in blocks of 8^3 / 2 points
+    # two r = 4 grids on 8 nodes, one tail each (the tracer counts n^r
+    # points for either); the level-two product once per slice of leads
+    # 0..4 (the other three are read off their conjugate partners), the
+    # level-one product once per nonempty block of Q1's increasing index
+    # tuples, one block per largest index t = 3..7: 8 - 4 + 1 = 5 calls,
+    # where the multiset table took 2 (330 multisets in blocks of 8^3 / 2)
     assert report["counts"]["predictor.grid_points"] == 2 * 8**4
     assert report["spans"]["predictor.tail"][0] == 2
-    assert report["spans"]["predictor.euler_level_one"][0] == 2
+    assert report["spans"]["predictor.euler_level_one"][0] == 8 - 4 + 1
     assert report["spans"]["predictor.euler_regularized"][0] == 8 // 2 + 1
