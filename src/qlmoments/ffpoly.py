@@ -14,8 +14,8 @@ The module keeps what a moment computation runs: tuple multiplication and
 reduction, the squarefree test, the symbol, monic indexing and the factor
 sieve.
 
-_require_modulus checks q by trial division on every call, with no cache:
-that costs a fraction of a microsecond at the moduli in use.
+_require_modulus checks q on every call, with no cache, by Miller-Rabin
+rounds: about 0.1 ms at q ~ 1e16 and under a microsecond at q = 5 or 13.
 _require_request adds the rules every moment and prediction request shares
 (r >= 1, a nonempty set of degrees D >= 1).  check_sieve_budget refuses a
 FactorSieve above the fixed CELL_BUDGET before anything is allocated.
@@ -24,6 +24,7 @@ FactorSieve above the fixed CELL_BUDGET before anything is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional
 
 __all__ = [
@@ -53,15 +54,40 @@ def check_sieve_budget(q: int, max_deg: int) -> None:
             f"sieve would need {cells} cells, budget is {CELL_BUDGET}")
 
 
+#: Miller-Rabin rounds to these 13 bases decide primality below PSI_13, the
+#: least strong pseudoprime to all of them (Sorenson and Webster, 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def _is_prime(q: int) -> bool:
+    """Whether the odd q >= 5 is prime."""
+    for a in MILLER_RABIN_BASES:
+        if q % a == 0:
+            return q == a
+    if q >= PSI_13:
+        return all(q % n for n in range(43, isqrt(q) + 1, 2))
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d 2^s with d odd
+    d = (q - 1) >> s
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, q)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == q - 1:
+                break
+            x = x * x % q
+        else:
+            return False
+    return True
+
+
 def _require_modulus(q: int) -> None:
-    """Raise ValueError unless q is a prime = 1 mod 4 (trial division)."""
+    """Raise ValueError unless q is a prime = 1 mod 4."""
     if q < 5 or q % 4 != 1:
         raise ValueError(f"modulus must be an odd prime = 1 mod 4, got {q}")
-    n = 3
-    while n * n <= q:
-        if q % n == 0:
-            raise ValueError(f"modulus must be prime, got {q}")
-        n += 2
+    if not _is_prime(q):
+        raise ValueError(f"modulus must be prime, got {q}")
 
 
 def _require_request(q: int, r: int, degrees) -> list[int]:

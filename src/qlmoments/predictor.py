@@ -17,20 +17,15 @@ running value at pmax // 2.  One log-sum, _euler_products, serves both
 levels (see EulerSpec), and every log is _clog1p of the factor minus 1,
 built from real ufuncs with no branch.  The level-two product is kept per
 sign sgn(a) = zeta^2, which each root reads through ZETA_FOURTH.
-The Q1 integrand is symmetric in all r variables and exactly 0 where two
-nodes coincide, so Q1 sums it once per strictly increasing tuple of node
-indices, C(n, r) of the n^r grid points, in blocks of one largest index;
-that r! cancels the 1 / r! of the residue.  The level-two product is
-symmetric only in (z_1, z_2, z_3), so Q2 walks the whole grid.
 All contour quadrature is the trapezoid rule on circles (spectrally
-accurate for these analytic integrands).  Q2 is summed by one accumulator,
-_grid_sums, over the grid generator _torus.  The rule on n // 2 nodes per
+accurate for these analytic integrands), and the rule on n // 2 nodes per
 circle reads the even-index nodes of the n-node grid, so one pass yields
-both cutoffs and both grids, for Q1 as for Q2.  The nodes come in exact
-conjugate pairs and the walk takes each leading node right before its
-conjugate, so Q2, whose integrand has real coefficients, computes only the
-slices of leads 0..n / 2 and reads each other slice off its partner,
-conjugated with its indices negated.
+both cutoffs and both grids.  The Q1 integrand is symmetric in all r
+variables and exactly 0 where two nodes coincide, so Q1 sums it once per
+strictly increasing tuple of node indices, in blocks of one largest index;
+that r! cancels the 1 / r! of the residue.  The level-two product is
+symmetric only in (z_1, z_2, z_3), so Q2 walks the whole grid, one slice
+per leading node, and reads half its slices off their conjugate partners.
 Both coefficients are reported as a Coefficient record: the value, its
 relative imaginary residue (for Q2 only the summation's rounding, since
 the mirrored slices make its grid sum real up to the order of the sums;
@@ -127,7 +122,7 @@ class QuadSpec:
             raise ValueError("rho must lie in (0, 0.5)")
         n = self.n_points
         if n < 4 or n & (n - 1):
-            raise ValueError("n_points must be a power of two")
+            raise ValueError("n_points must be a power of two >= 4")
 
 
 #: Fewest nodes per circle of the half grid behind a refinement delta (the
@@ -184,61 +179,18 @@ class Coefficient:
 # contour helpers
 
 
-def _circle(n: int, rho: float, center: complex = 1.0):
-    """The n trapezoid nodes center + rho e^(2 pi i k / n) and their weights.
+def _circle(n: int, rho: float):
+    """The n trapezoid nodes 1 + rho e^(2 pi i k / n) and their weights.
 
     The phases come in exact conjugate pairs: phase n - k is the conjugate
-    of phase k, phase 0 is 1 and phase n / 2 is -1.  So on a real center
-    node n - k is the conjugate of node k bit for bit, and so is its weight.
-    Phase 2k on n nodes is phase k on n // 2 nodes, bit for bit.
+    of phase k, phase 0 is 1 and phase n / 2 is -1.  So node n - k is the
+    conjugate of node k bit for bit, and so is its weight.  Phase 2k on n
+    nodes is phase k on n // 2 nodes, bit for bit.
     """
     phase = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
     phase[n // 2] = -1
     phase = np.concatenate([phase, phase[n // 2 - 1:0:-1].conj()])
-    return center + rho * phase, rho * phase / n
-
-
-def _mirror_order(n: int) -> list[int]:
-    """0, 1, n - 1, 2, n - 2, ..., n / 2: every node index once, each k
-    outside {0, n / 2} followed by its conjugate partner n - k.  Its even
-    entries, halved, are _mirror_order(n // 2)."""
-    return [0] + [i for k in range(1, n // 2) for i in (k, n - k)] + [n // 2]
-
-
-def _torus(r: int, n: int, rho: float, center: complex = 1.0):
-    """Walk the r-fold trapezoid grid one slice at a time.
-
-    Yields (w_i, zs, w_rest, half, lead): the last max(r - 1, 1) variables
-    of zs are broadcast views of all n nodes and w_rest is the product of
-    their weights; the leading variable, if any is left, is node lead with
-    weight w_i.  For r = 1 the one slice is (1.0, [nodes], w, half, None).
-
-    The leading index goes in _mirror_order, so on a real center the slice
-    of lead n - k comes right after that of lead k, its conjugate: a real-
-    coefficient integrand there is conj(f[(-i) % n]) on every broadcast axis
-    (q2_term_profile reads it so).
-
-    The n // 2-node rule has the even-index nodes and exactly twice the
-    weights, so the walk also covers its half grid: half indexes the
-    even-index sub-lattice of the broadcast axes on a slice whose leading
-    index is even (every r = 1 slice), and is None otherwise.  The even
-    leads come in the order of the n // 2-node walk, so the sum of
-    w_i * (f(zs) * w_rest)[half] over those slices, times 2^r, is the
-    half-grid integral of f bit for bit where the values agree, since the
-    scale is a power of two.
-    """
-    nodes, w = _circle(n, rho, center)
-    k = max(r - 1, 1)
-    shapes = [[n if b == a else 1 for b in range(k)] for a in range(k)]
-    views = [nodes.reshape(shape) for shape in shapes]
-    w_rest = prod([w.reshape(shape) for shape in shapes])
-    sub = (slice(None, None, 2),) * k
-    if r == 1:
-        yield 1.0, views, w_rest, sub, None
-        return
-    for lead in _mirror_order(n):
-        yield (w[lead], [nodes[lead]] + views, w_rest,
-               None if lead % 2 else sub, lead)
+    return 1.0 + rho * phase, rho * phase / n
 
 
 #: Most grid points n_points^r that one contour sum may walk, and most
@@ -259,33 +211,6 @@ def _check_budget(r: int, n: int) -> None:
     if n**k > SLICE_BUDGET:
         raise ValueError(f"{n}^{k} points per grid slice exceed the budget "
                          f"of {SLICE_BUDGET}")
-
-
-def _grid_sums(r: int, quad: QuadSpec, slice_pieces) -> dict:
-    """The trapezoid sums of every integrand piece over the r-fold grid.
-
-    slice_pieces(zs, w_rest, lead) gives the pieces of one slice of _torus as
-    (key, damp, cores), one core per Euler cutoff (pmax // 2, then pmax);
-    cores carry the slice weight w_rest.  Returns {key: (sum at pmax // 2,
-    sum at pmax, sum at pmax on the half grid)}, each the sum over slices of
-    w_i * (core * damp).sum(), the last over the even-index nodes and scaled
-    by 2^r (see _torus).  The walk stops at the first slice that leaves a
-    sum non-finite, which no later slice can make finite again.
-    """
-    n = quad.n_points
-    _check_budget(r, n)
-    acc = {}
-    for w_i, zs, w_rest, half, lead in _torus(r, n, quad.rho):
-        for key, damp, cores in slice_pieces(zs, w_rest, lead):
-            sums = acc.setdefault(key, [0j, 0j, 0j])
-            for k, core in enumerate(cores):
-                sums[k] += w_i * (core * damp).sum()
-            if half is not None:  # core is the pmax one
-                sums[2] += w_i * (core[half] * damp[half]).sum()
-        if not np.isfinite(list(acc.values())).all():
-            break
-    return {key: (lower, val, 2**r * half)
-            for key, (lower, val, half) in acc.items()}
 
 
 def _sign(r: int) -> int:
@@ -594,67 +519,76 @@ def _q2_kernel(zs, m):
 Q2_QUAD = QuadSpec(rho=0.05, n_points=64)
 
 
+def _q2_cores(zs, w_rest, q: int, pmax: int) -> dict:
+    """{(zeta, j): [core at Euler cutoff pmax // 2, core at pmax]}: the
+    integrand of Q2's first (j = 0) and second (j = 1) integral at the
+    points zs with weights w_rest, less its damping power."""
+    cutoffs = euler_product_regularized(zs, q, pmax)
+    kern = _q2_kernel(zs, 3) * w_rest
+    cores = {}
+    for zeta, a_sign in ZETA_FOURTH.items():
+        g1, g2 = secondary_weight_functions(zs, zeta, q)
+        root_kerns = [kern * sregs[a_sign] for sregs in cutoffs]
+        cores[zeta, 0] = [g1 * rk for rk in root_kerns]
+        cores[zeta, 1] = [g2 * rk for rk in root_kerns]
+    return cores
+
+
 def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
                     quad: QuadSpec = Q2_QUAD) -> dict:
     """{D: {zeta: (piece at Euler cutoff pmax // 2, piece at pmax, piece at
     pmax on the half grid)}} with Q2(D, q) = sum over zeta of zeta^D * piece.
 
     A piece is norm * ((1 - sqrt q)^(-r) * first + second) from the two
-    D-indexed contour integrals of the level-two machinery.  One grid pass
-    serves all roots, in ZETA_FOURTH order, degrees, both cutoffs and both
-    grids.  Each slice forms the root-independent kernel once and each
-    damping power once per degree, shared by the four roots.
-
-    The integrand has real coefficients and its float evaluation commutes
-    with conjugation bit for bit, so the cores (the weights times the kernel,
-    w_rest and the level-two product) are computed only on the slices of
-    leads 0..n / 2.  A slice of lead k is kept for one step, and the slice of
-    its partner n - k (next in _torus) reads the core of root zeta as
-    conj(core[(-i) % n, ...]) of root conj(zeta), one piece at a time.
+    D-indexed contour integrals of the level-two machinery.  One grid pass,
+    one slice per leading node z_1, serves all roots, in ZETA_FOURTH order,
+    degrees, both cutoffs and both grids; the damping powers of z_4..z_r
+    are formed once.  The integrand has real coefficients and its float
+    evaluation commutes with conjugation bit for bit, so the cores
+    (_q2_cores) are computed on the slices of leads k = 0..n / 2 only:
+    slice k is added, then that of lead n - k, whose core of root zeta is
+    conj(core[(-i) % n, ...]) of root conj(zeta).  The n // 2-node pass has
+    the even-index nodes, twice the weights and the even leads, halved, in
+    this order, so the half-grid entry, 2^r times the sum over the
+    even-index points, is its sum bit for bit.  The pass stops at the first
+    slice that leaves a sum non-finite, which no later slice can undo.
     """
     degrees = _require_request(q, r, degrees)
     euler.check_range(q)
     if note := _q2_rank_note(r):
         raise ValueError(f"the level-two coefficient is {note}")
     n = quad.n_points
-    axes = tuple(range(r - 1))  # the broadcast axes of a slice
-    kept = {}  # lead k: its cores, until the slice of lead n - k
-
-    def mirrored(cores):
+    _check_budget(r, n)
+    nodes, w = _circle(n, quad.rho)
+    shapes = [[n if b == a else 1 for b in range(r - 1)] for a in range(r - 1)]
+    views = [nodes.reshape(shape) for shape in shapes]
+    w_rest = prod([w.reshape(shape) for shape in shapes])
+    damps = [prod(views[2:]) ** (-d) for d in degrees]
+    even = (slice(None, None, 2),) * (r - 1)
+    sums = {(d, zeta, j): [0j, 0j, 0j]
+            for d in degrees for zeta in ZETA_FOURTH for j in (0, 1)}
+    for lead in [0] + [i for k in range(1, n // 2) for i in (k, n - k)] + [n // 2]:
+        if lead <= n // 2:
+            cores = per_cutoff = None  # free the last slice's arrays first
+            cores = _q2_cores([nodes[lead]] + views, w_rest, q, euler.pmax)
         for zeta, j in cores:
-            per_cutoff = []
-            for core in cores[zeta.conjugate(), j]:
-                # index (-i) % n on every axis: reversed, then shifted by one
-                image = np.roll(np.flip(core), 1, axis=axes)
-                per_cutoff.append(np.conjugate(image, out=image))
-            yield (zeta, j), per_cutoff
-
-    def computed(zs, w_rest):
-        cutoffs = euler_product_regularized(zs, q, euler.pmax)
-        kern = _q2_kernel(zs, 3) * w_rest
-        cores = {}
-        for zeta, a_sign in ZETA_FOURTH.items():
-            g1, g2 = secondary_weight_functions(zs, zeta, q)
-            root_kerns = [kern * sregs[a_sign] for sregs in cutoffs]
-            cores[zeta, 0] = [g1 * rk for rk in root_kerns]  # first
-            cores[zeta, 1] = [g2 * rk for rk in root_kerns]  # second
-        return cores
-
-    def pieces(zs, w_rest, lead):
-        if lead > n // 2:
-            items = mirrored(kept.pop(n - lead))
-        else:
-            cores = computed(zs, w_rest)
-            if 0 < lead < n // 2:
-                kept[lead] = cores
-            items = cores.items()
-        tailprod = prod(zs[3:])
-        damps = [tailprod ** (-d) for d in degrees]
-        for (zeta, j), per_cutoff in items:
+            if lead <= n // 2:
+                per_cutoff = cores[zeta, j]
+            else:  # cores of lead n - lead: index (-i) % n, reversed then shifted
+                per_cutoff = []
+                for core in cores[zeta.conjugate(), j]:
+                    image = np.roll(np.flip(core), 1, axis=tuple(range(r - 1)))
+                    per_cutoff.append(np.conjugate(image, out=image))
             for d, damp in zip(degrees, damps):
-                yield (d, zeta, j), damp, per_cutoff
-
-    sums = _grid_sums(r, quad, pieces)
+                acc = sums[d, zeta, j]
+                for c, core in enumerate(per_cutoff):
+                    acc[c] += w[lead] * (core * damp).sum()
+                if lead % 2 == 0:  # core is the pmax one
+                    acc[2] += w[lead] * (core[even] * damp[even]).sum()
+        if not np.isfinite(list(sums.values())).all():
+            break
+    for acc in sums.values():
+        acc[2] = 2**r * acc[2]
     sign = _sign(r)
     norm = 1 / (2**5 * 6 * factorial(r - 3))
     return {d: {zeta: tuple(norm * ((1 - q**0.5) ** (-r) * complex(sign * first)

@@ -7,10 +7,11 @@ the integrands the predictions use.  The central values L(1/2, chi_d) are
 summed in K term by term, apart from the integer pair the moment oracle
 powers.
 
-It also keeps what only the tests use: the Cartan matrix and the w* sign
-report, the constant contour integrals and exact determinants, the word
-action on coordinates, the constant matrices U, B and B^(-1), the factor
-sieve's smallest factor and the per-degree regularized local factor.
+It also keeps what only the tests use: the every-slice walk of the contour
+grid, the Cartan matrix and the w* sign report, the constant contour
+integrals and exact determinants, the word action on coordinates, the
+constant matrices U, B and B^(-1), the factor sieve's smallest factor, the
+per-degree regularized local factor and a trial-division primality test.
 
 Two references check the residue machinery's arithmetic: the cocycle
 recursion that forms each letter's base matrix and takes a full matrix
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, isqrt, lcm, prod
 from typing import Iterator
 
 import numpy as np
@@ -37,6 +38,30 @@ from qlmoments.ffpoly import (FactorSieve, FqPoly, _is_squarefree, _mod, _mul,
                               _require_modulus, index_of_monic,
                               irreducible_count, monic_from_index, symbol_raw)
 from qlmoments.kacmoody import Root, positive_real_roots_up_to_height, reflect
+
+# ---------------------------------------------------------------------------
+# the contour grid
+
+
+def torus_slices(r: int, n: int, rho: float, center: complex = 1.0):
+    """The r-fold trapezoid grid on circles |z - center| = rho, n nodes each
+    (n a power of two), as slices (w_i, zs, w_rest): z_1 is one node of
+    weight w_i, and the other variables are broadcast views of all n nodes,
+    of weight w_rest (r = 1: one slice, w_i = 1.0).  The leading nodes go
+    0, 1, n - 1, 2, n - 2, ..., n / 2, as predictor.q2_term_profile adds them.
+    """
+    _, w = pr._circle(n, rho)
+    nodes = center + w * n  # center + rho e^(2 pi i k / n), bit for bit
+    k = max(r - 1, 1)
+    shapes = [[n if b == a else 1 for b in range(k)] for a in range(k)]
+    views = [nodes.reshape(shape) for shape in shapes]
+    w_rest = prod([w.reshape(shape) for shape in shapes])
+    if r == 1:
+        yield 1.0, views, w_rest
+        return
+    for lead in [0] + [i for j in range(1, n // 2) for i in (j, n - j)] + [n // 2]:
+        yield w[lead], [nodes[lead]] + views, w_rest
+
 
 # ---------------------------------------------------------------------------
 # level-one Euler data
@@ -135,9 +160,8 @@ def q2_term_profile_per_root(q: int, r: int, degrees, euler: pr.EulerSpec,
     where the production loop reads the even-index nodes of its one walk.
     Each piece is norm * ((1 - sqrt q)^(-r) * first + second)."""
     degrees = sorted(set(degrees))
-    cutoffs = _q2_per_root_walk(q, r, degrees, euler, quad)
-    halved = _q2_per_root_walk(q, r, degrees, euler,
-                               pr.QuadSpec(quad.rho, quad.n_points // 2))
+    cutoffs, halved = (_q2_per_root_walk(q, r, degrees, euler.pmax, n, quad.rho)
+                       for n in (quad.n_points, quad.n_points // 2))
     sign = pr._sign(r)
     norm = 1 / (2**5 * 6 * factorial(r - 3))
     return {d: {zeta: tuple(norm * ((1 - q**0.5) ** (-r) * complex(sign * first)
@@ -147,14 +171,14 @@ def q2_term_profile_per_root(q: int, r: int, degrees, euler: pr.EulerSpec,
             for d, pieces in cutoffs.items()}
 
 
-def _q2_per_root_walk(q, r, degrees, euler, quad) -> dict:
+def _q2_per_root_walk(q, r, degrees, pmax: int, n: int, rho: float) -> dict:
     """{D: {zeta: [[first, second] at pmax // 2, [first, second] at pmax]}},
-    unsigned, from one walk of the grid quad, every slice factor per root."""
+    unsigned, from one walk of the n-node grid, every slice factor per root."""
     acc = {d: {zeta: [[0j, 0j], [0j, 0j]] for zeta in pr.ZETA_FOURTH}
            for d in degrees}
-    for w_i, zs, w_rest, *_ in pr._torus(r, quad.n_points, quad.rho):
+    for w_i, zs, w_rest in torus_slices(r, n, rho):
         tailprod = prod(zs[3:])
-        cutoffs = pr.euler_product_regularized(zs, q, euler.pmax)
+        cutoffs = pr.euler_product_regularized(zs, q, pmax)
         for zeta, a_sign in pr.ZETA_FOURTH.items():
             g1, g2 = pr.secondary_weight_functions(zs, zeta, q)
             for k, sregs in enumerate(cutoffs):
@@ -188,23 +212,30 @@ def q1_profile_per_point(q: int, r: int, degrees, euler: pr.EulerSpec,
     level-one product A included, on every slice of the torus walk, at all
     n^r grid points, over r!.  The production profile sums the C(n, r)
     strictly increasing node-index tuples once each, since the integrand is
-    symmetric and vanishes where two nodes coincide."""
+    symmetric and vanishes where two nodes coincide.  The half-grid entry
+    comes from a walk of its own on n_points // 2 nodes."""
     degrees = sorted(set(degrees))
-
-    def pieces(zs, w_rest, _):
-        products = pr.euler_product_level_one(zs, q, euler.pmax)
-        cores = pr._q1_cores(zs, w_rest, q, products)
-        prodz = prod(zs)
-        for d in degrees:
-            yield d, prodz ** (-(d // 2)), [extra if d % 2 == 0 else base
-                                            for base, extra in cores]
-
-    sums = pr._grid_sums(r, quad, pieces)
+    sums, halved = (_q1_per_point_walk(q, r, degrees, euler.pmax, n, quad.rho)
+                    for n in (quad.n_points, quad.n_points // 2))
     pref_even = (1 - 1 / q) * (1 - q**0.5) ** (-r) * pr._sign(r) / factorial(r)
     pref_odd = (1 - 1 / q) * pr._sign(r) / factorial(r)
     return {d: tuple(complex((pref_even if d % 2 == 0 else pref_odd) * v)
-                     for v in sums[d])
+                     for v in (*sums[d], halved[d][1]))
             for d in degrees}
+
+
+def _q1_per_point_walk(q, r, degrees, pmax: int, n: int, rho: float) -> dict:
+    """{D: [sum at pmax // 2, sum at pmax]}, without the prefactor, from one
+    walk of the n-node grid."""
+    acc = {d: [0j, 0j] for d in degrees}
+    for w_i, zs, w_rest in torus_slices(r, n, rho):
+        cores = pr._q1_cores(zs, w_rest, q, pr.euler_product_level_one(zs, q, pmax))
+        prodz = prod(zs)
+        for d in degrees:
+            damp = prodz ** (-(d // 2))
+            for k, (base, extra) in enumerate(cores):
+                acc[d][k] += w_i * ((extra if d % 2 == 0 else base) * damp).sum()
+    return acc
 
 
 def q1_coefficient_circle(q: int, r: int, D: int,
@@ -217,9 +248,10 @@ def q1_coefficient_circle(q: int, r: int, D: int,
     extracting the coefficient analytically; much slower.
     """
     sq = q**0.5
-    xi_nodes, xi_w = pr._circle(n_xi, q ** (-2.0), center=0.0)
+    _, xi_w = pr._circle(n_xi, q ** (-2.0))
+    xi_nodes = xi_w * n_xi
     out = 0j
-    for w_i, zs, w_rest, *_ in pr._torus(r, quad.n_points, quad.rho):
+    for w_i, zs, w_rest in torus_slices(r, quad.n_points, quad.rho):
         products = pr.euler_product_level_one(zs, q, euler.pmax)
         base, extra = pr._q1_cores(zs, w_rest, q, products)[1]
         prodz = prod(zs)
@@ -339,7 +371,7 @@ def rank3_local_poly_x1_coeffs(n_terms: int = 14) -> list[Fraction]:
 def contour_integral(fn, r: int, rho: float, n: int, center: complex = 1.0) -> complex:
     """(1/(2 pi i))^r times the iterated contour integral of fn over r circles."""
     total = 0j
-    for w_i, zs, w_rest, *_ in pr._torus(r, n, rho, center):
+    for w_i, zs, w_rest in torus_slices(r, n, rho, center):
         total += w_i * (fn(zs) * w_rest).sum()
     return complex(total)
 
@@ -659,7 +691,12 @@ def k_inverse_tower(coords, q):
 
 
 # ---------------------------------------------------------------------------
-# factor sieve, quadratic symbol and monic enumeration
+# modulus, factor sieve, quadratic symbol and monic enumeration
+
+
+def is_prime_by_trial_division(q: int) -> bool:
+    """Whether q is prime, by division by every integer from 2 to sqrt(q)."""
+    return q >= 2 and all(q % n for n in range(2, isqrt(q) + 1))
 
 
 def smallest_factor(sieve: FactorSieve, c: tuple[int, ...]) -> tuple[int, ...]:

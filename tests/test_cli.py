@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import qlmoments
-from qlmoments import predictor
+from qlmoments import cli, predictor
 
 # the CLI subprocesses import the same tree as this test process
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qlmoments.__file__)))
@@ -354,6 +355,23 @@ def test_grid_over_budget_fails_before_any_allocation(args):
     p = run_cli(*args, timeout=30)
     assert_one_line_error(p)
     assert "budget" in p.stderr
+
+
+def test_moments_refuses_a_large_prime_modulus_in_under_a_second(capsys):
+    # the modulus check passes q ~ 1e16 in well under a second (trial
+    # division took seconds); the factor sieve's budget refuses it
+    start = time.perf_counter()
+    assert cli.main(["moments", "--q", "10000000000000061", "--dmax", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "qlm: error: sieve would need "
+                                   "10000000000000061 cells, budget is 50000000\n")
+
+
+def test_predict_quad_below_four_nodes_is_refused():
+    p = run_cli("predict", "q1", "--D", "3", "--quad", "2", timeout=30)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr == "qlm: error: n_points must be a power of two >= 4\n"
 
 
 def test_predict_rejects_composite_modulus():

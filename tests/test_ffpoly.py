@@ -19,6 +19,24 @@ def poly(coeffs, q=5):
     return FqPoly.make(coeffs, q)
 
 
+class TestModulus:
+    # the least strong pseudoprime to the bases 2..37 (psi_12); not to 41
+    PSI_12 = 318665857834031151167461
+
+    def test_agrees_with_trial_division_below_two_hundred_thousand(self):
+        odd = range(5, 2 * 10**5, 2)
+        assert ([q for q in odd if ffpoly._is_prime(q)]
+                == [q for q in odd if oracles.is_prime_by_trial_division(q)])
+
+    def test_refuses_the_strong_pseudoprime_to_the_first_twelve_bases(self, monkeypatch):
+        assert self.PSI_12 % 4 == 1
+        monkeypatch.setattr(ffpoly, "MILLER_RABIN_BASES", ffpoly.MILLER_RABIN_BASES[:12])
+        ffpoly._require_modulus(self.PSI_12)  # twelve rounds pass it
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="modulus must be prime"):
+            ffpoly._require_modulus(self.PSI_12)
+
+
 class TestSymbol:
     def test_unit_over_unit(self):
         assert quadratic_symbol(poly([1]), poly([1])) == 1

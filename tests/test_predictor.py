@@ -45,12 +45,26 @@ def poly_h(rng: random.Random):
 
 @pytest.fixture
 def no_walk(monkeypatch):
-    """Fail any call that reaches Q2's grid walk or Q1's tuple pass."""
+    """Fail any call that reaches the contour nodes, where the grid pass of
+    Q1 and of Q2 starts."""
     def refuse(*args, **kwargs):
         raise AssertionError("the grid walk started")
 
-    monkeypatch.setattr(pr, "_torus", refuse)
-    monkeypatch.setattr(pr, "_combinations", refuse)
+    monkeypatch.setattr(pr, "_circle", refuse)
+
+
+@pytest.fixture
+def product_leads(monkeypatch) -> list:
+    """The leading node of every call to the level-two product, in order."""
+    leads = []
+    product = pr.euler_product_regularized
+
+    def counted(zs, q, pmax):
+        leads.append(zs[0])
+        return product(zs, q, pmax)
+
+    monkeypatch.setattr(pr, "euler_product_regularized", counted)
+    return leads
 
 
 class TestSpecs:
@@ -301,7 +315,7 @@ class TestRegularizedProduct:
     @staticmethod
     def slice_point(r: int, n: int, index: int = 3):
         """The grid variables of one torus slice, by default off the real axis."""
-        _, zs, *_ = next(itertools.islice(pr._torus(r, n, 0.05), index, None))
+        _, zs, _ = next(itertools.islice(oracles.torus_slices(r, n, 0.05), index, None))
         return zs
 
     # r = 4, n = 32 puts each factor (512 KiB) above numpy's 256 KiB elision size
@@ -632,30 +646,29 @@ class TestQ2:
         assert res.value == sum(z**5 * p[1] for z, p in pieces[5].items()).real
 
     def test_one_torus_walk_serves_every_root(self, monkeypatch):
-        # Q2 walks one torus; Q1 sums its increasing tuples and walks none
-        walks = []
-        torus = pr._torus
+        # every profile builds its nodes once, and Q2 one torus for all roots
+        circles = []
+        circle = pr._circle
 
-        def counted(*args, **kwargs):
-            walks.append(args)
-            return torus(*args, **kwargs)
+        def counted(*args):
+            circles.append(args)
+            return circle(*args)
 
-        monkeypatch.setattr(pr, "_torus", counted)
+        monkeypatch.setattr(pr, "_circle", counted)
         pieces = pr.q2_term_profile(Q, 4, [4, 5], pr.EulerSpec(6),
                                     pr.QuadSpec(0.05, 8))
-        assert len(walks) == 1
+        assert circles == [(8, 0.05)]
         assert all(list(pieces[D]) == list(pr.ZETA_FOURTH) for D in (4, 5))
         # a coefficient reads its refinement delta off the same pass
-        for coefficient, rho, n_walks in ((pr.q1_coefficient, 0.1, 0),
-                                          (pr.q2_coefficient, 0.05, 1)):
-            walks.clear()
+        for coefficient, rho in ((pr.q1_coefficient, 0.1), (pr.q2_coefficient, 0.05)):
+            circles.clear()
             res = coefficient(Q, 4, 5, pr.EulerSpec(6), pr.QuadSpec(rho, 16))
-            assert len(walks) == n_walks
+            assert circles == [(16, rho)]
             assert res.refine_delta is not None
-        # a two-term prediction walks only Q2's grid, on its own radius
-        walks.clear()
+        # a two-term prediction runs Q1's grid, then Q2's on its own radius
+        circles.clear()
         pr.moment_prediction(Q, 4, [4, 5], 2, pr.EulerSpec(6), pr.QuadSpec(0.1, 8))
-        assert walks == [(4, 8, pr.Q2_QUAD.rho)]
+        assert circles == [(8, 0.1), (8, pr.Q2_QUAD.rho)]
 
     def test_leading_coefficient_pieces(self):
         lead = pr.q2_leading_coefficient(Q, 4, pr.EulerSpec(8))
@@ -699,30 +712,22 @@ class TestGridBudget:
 
 
 class TestGridSums:
-    def test_walk_stops_at_the_first_non_finite_sum(self, monkeypatch):
-        slices = []
-        torus = pr._torus
-
-        def counted(*args):
-            for piece in torus(*args):
-                slices.append(piece)
-                yield piece
-
-        monkeypatch.setattr(pr, "_torus", counted)
+    def test_walk_stops_at_the_first_non_finite_sum(self, product_leads):
         quad = pr.QuadSpec(0.05, 8)
         # at pmax = 28 the level-two product overflows on the second slice
         with np.errstate(over="ignore", invalid="ignore"):
             res = pr.q2_coefficient(Q, 4, 6, pr.EulerSpec(28), quad)
         assert not math.isfinite(res.value)
-        assert len(slices) == 2
-        slices.clear()
+        assert len(product_leads) == 2
+        product_leads.clear()
         res = pr.q2_coefficient(Q, 4, 6, pr.EulerSpec(12), quad)
-        assert math.isfinite(res.value) and len(slices) == quad.n_points
+        assert math.isfinite(res.value) and len(product_leads) == quad.n_points // 2 + 1
 
 
 class TestConjugateGrid:
-    """The nodes come in exact conjugate pairs and the walk visits each
-    partner right after its lead, which q2_term_profile's mirror reads."""
+    """The nodes come in exact conjugate pairs, so q2_term_profile computes
+    the slices of leads 0..n / 2 only and reads each other one off its
+    partner; the oracle walk computes every slice, in the same order."""
 
     @pytest.mark.parametrize("n", [4, 8, 16, 64])
     def test_circle_nodes_and_weights_are_exact_conjugate_pairs(self, n):
@@ -736,15 +741,18 @@ class TestConjugateGrid:
         half, _ = pr._circle(n // 2, rho)
         assert nodes[::2].tobytes() == half.tobytes()
 
+    @pytest.mark.parametrize("r, n", [(4, 16), (5, 8)])
+    def test_level_two_product_runs_once_per_computed_lead(self, product_leads, r, n):
+        pr.q2_term_profile(Q, r, [4], pr.EulerSpec(6), pr.QuadSpec(0.05, n))
+        nodes, _ = pr._circle(n, 0.05)
+        assert np.array(product_leads).tobytes() == nodes[:n // 2 + 1].tobytes()
+
     @pytest.mark.parametrize("r, n", [(2, 8), (4, 16), (5, 8)])
     def test_torus_follows_each_lead_with_its_partner(self, r, n):
-        slices = [(w_i, zs[0], lead) for w_i, zs, _, _, lead in pr._torus(r, n, 0.05)]
-        leads = [lead for *_, lead in slices]
-        assert sorted(leads) == list(range(n))
-        assert leads[0] == 0 and leads[-1] == n // 2
-        for (w_k, z_k, k), (w_p, z_p, p) in zip(slices[1:-1:2], slices[2:-1:2]):
-            assert 0 < k < n // 2 and p == n - k
-            assert (w_p, z_p) == (w_k.conjugate(), z_k.conjugate())
+        nodes, w = pr._circle(n, 0.05)
+        order = [0] + [i for k in range(1, n // 2) for i in (k, n - k)] + [n // 2]
+        slices = [(w_i, zs[0]) for w_i, zs, _ in oracles.torus_slices(r, n, 0.05)]
+        assert slices == [(w[i], nodes[i]) for i in order]
 
 
 class TestHalfGrid:
