@@ -23,13 +23,13 @@ circle reads the even-index nodes of the n-node grid, so one pass yields
 both cutoffs and both grids.  The Q1 integrand is symmetric in all r
 variables and exactly 0 where two nodes coincide, so Q1 sums it once per
 strictly increasing tuple of node indices, in blocks of one largest index;
-that r! cancels the 1 / r! of the residue.  The level-two product is
-symmetric only in (z_1, z_2, z_3), so Q2 walks the whole grid, one slice
-per leading node, and reads half its slices off their conjugate partners.
-Both coefficients are reported as a Coefficient record: the value, its
-relative imaginary residue (for Q2 only the summation's rounding, since
-the mirrored slices make its grid sum real up to the order of the sums;
-see README "Numerical notes"), and its relative change from cutoff pmax to
+that r! cancels the 1 / r! of the residue.  The Q2 integrand is so in
+(z_1, z_2, z_3), so Q2 sums it once per increasing triple of them against
+all of z_4..z_r, and reads the sum over each triple's conjugate partner
+off the conjugate root's sum.  Both coefficients are reported as a
+Coefficient record: the value, its relative imaginary residue (a rounding
+reading: for Q2 that of the conjugation-fixed triples alone, see README
+"Numerical notes"), and its relative change from cutoff pmax to
 pmax // 2 (the truncation tail) and from the grid to its even-index half
 (the refinement delta).  One assembly of Q2, _q2_entries, serves
 q2_coefficient and moment_prediction.  Exact q^(1/4)-polynomial
@@ -195,10 +195,11 @@ def _circle(n: int, rho: float):
 
 #: Most grid points n_points^r that one contour sum may walk, and most
 #: points n_points^max(r - 1, 1) in one slice of it.  Time grows with the
-#: points and memory with the slice (463 MB for Q2 at r = 6 on 16 nodes,
-#: 2^20 points per slice; 1.77 GB at r = 12 on 4 nodes, 2^22).  Q1 holds
-#: one block of C(n_points - 1, r - 1) <= n_points^(r - 1) points at a time,
-#: and its r x C(n_points, r) index tuples.
+#: points and memory with the slice (463 MB for a Q2 that walked every
+#: slice at r = 6 on 16 nodes, 2^20 points per slice; 1.77 GB at r = 12 on
+#: 4 nodes, 2^22).  Q1 holds one block of C(n_points - 1, r - 1) <=
+#: n_points^(r - 1) points at a time, and its r x C(n_points, r) index
+#: tuples; Q2 one block of at most C(n_points - 1, 2) n_points^(r - 3).
 GRID_BUDGET = 2**24
 SLICE_BUDGET = 2**20
 
@@ -296,7 +297,8 @@ def euler_product_level_one(zs, q, pmax: int):
 def _shared_factor(xis, q, e: int):
     """The zeta-independent half of the degree-e regularized factor:
     (x, q^e, q^(e/4), pm, pp, corr) with x = [xi^e], pm and pp the products
-    of 1 -+ x_i^2 / q^(e/2), and corr the r >= 4 cross factor."""
+    of 1 -+ x_i^2 / q^(e/2), and corr the r >= 4 cross factor, whose fresh
+    factors multiply from the left, as in _q1_kernel."""
     r = len(xis)
     x = [v**e for v in xis]
     qe = float(q) ** e
@@ -306,11 +308,11 @@ def _shared_factor(xis, q, e: int):
     corr = 1
     for i in range(3):
         for j in range(3, r):
-            corr = corr * (1 - x[i] ** 2 * x[j] ** 2 / qe)
-            corr = corr * (1 - x[j] ** 2 / (x[i] ** 2 * qe))
+            corr = (1 - x[i] ** 2 * x[j] ** 2 / qe) * corr
+            corr = (1 - x[j] ** 2 / (x[i] ** 2 * qe)) * corr
     for k in range(3, r):
         for l in range(k, r):
-            corr = corr * (1 - x[k] ** 2 * x[l] ** 2 / qe)
+            corr = (1 - x[k] ** 2 * x[l] ** 2 / qe) * corr
     return x, qe, float(q) ** (0.25 * e), pm, pp, corr
 
 
@@ -488,27 +490,28 @@ def _q2_kernel(zs, m):
     """The mixed Vandermonde kernel with the variables split after the m-th.
 
     Pairs across the split enter to the first power, pairs inside either
-    block squared; Q2 splits at m = 3.
+    block squared; Q2 splits at m = 3.  Fresh factors multiply from the
+    left, as in _q1_kernel.
     """
     r = len(zs)
     num = 1
     for i in range(r):
         for j in range(i + 1, r):
             e_ij = 1 if (i < m <= j) else 2
-            num = num * (zs[i] - zs[j]) ** e_ij * (1 - zs[i] * zs[j])
+            num = (zs[i] - zs[j]) ** e_ij * (1 - zs[i] * zs[j]) * num
     for k in range(m):
         for l in range(k, m):
-            num = num * (1 - zs[k] * zs[l])
+            num = (1 - zs[k] * zs[l]) * num
     den = 1
     for z in zs:
-        den = den * (1 - z) ** (2 * r) * z**r
+        den = (1 - z) ** (2 * r) * z**r * den
     for k in range(m):
         for l in range(m, r):
-            den = den * (1 + zs[k] * zs[l])
-            den = den * (1 / zs[k] + zs[l] / zs[k] ** 2)
+            den = (1 + zs[k] * zs[l]) * den
+            den = (1 / zs[k] + zs[l] / zs[k] ** 2) * den
     for k in range(m, r):
         for l in range(k, r):
-            den = den * (1 + zs[k] * zs[l])
+            den = (1 + zs[k] * zs[l]) * den
     return num / den
 
 
@@ -534,24 +537,53 @@ def _q2_cores(zs, w_rest, q: int, pmax: int) -> dict:
     return cores
 
 
+def _q2_blocks(n: int) -> list:
+    """The blocks of node-index triples (z_1, z_2, z_3) that q2_term_profile
+    evaluates, as (fixed, triples), triples a (3, m) array of columns of
+    _combinations(n, 3) in colex order.
+
+    Conjugation maps a triple T to sorted((-T) mod n).  The first block
+    holds the triples it fixes, {0, k, n - k} and {n / 2, k, n - k}; each
+    later one holds, for one largest index t, the triples of colex rank
+    below their partner's.
+    """
+    triples = _combinations(n, 3)
+    a, b, c = np.sort(-triples.astype(np.int64) % n, axis=0)
+    partner = a + b * (b - 1) // 2 + c * (c - 1) * (c - 2) // 6  # colex rank
+    own = np.arange(triples.shape[1])
+    blocks = [(True, triples[:, partner == own])]
+    for t in range(2, n):
+        lo, hi = comb(t, 3), comb(t + 1, 3)
+        lower = triples[:, lo:hi][:, own[lo:hi] < partner[lo:hi]]
+        if lower.size:
+            blocks.append((False, lower))
+    return blocks
+
+
 def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
                     quad: QuadSpec = Q2_QUAD) -> dict:
     """{D: {zeta: (piece at Euler cutoff pmax // 2, piece at pmax, piece at
     pmax on the half grid)}} with Q2(D, q) = sum over zeta of zeta^D * piece.
 
     A piece is norm * ((1 - sqrt q)^(-r) * first + second) from the two
-    D-indexed contour integrals of the level-two machinery.  One grid pass,
-    one slice per leading node z_1, serves all roots, in ZETA_FOURTH order,
-    degrees, both cutoffs and both grids; the damping powers of z_4..z_r
-    are formed once.  The integrand has real coefficients and its float
-    evaluation commutes with conjugation bit for bit, so the cores
-    (_q2_cores) are computed on the slices of leads k = 0..n / 2 only:
-    slice k is added, then that of lead n - k, whose core of root zeta is
-    conj(core[(-i) % n, ...]) of root conj(zeta).  The n // 2-node pass has
-    the even-index nodes, twice the weights and the even leads, halved, in
-    this order, so the half-grid entry, 2^r times the sum over the
-    even-index points, is its sum bit for bit.  The pass stops at the first
-    slice that leaves a sum non-finite, which no later slice can undo.
+    D-indexed contour integrals of the level-two machinery.  One pass serves
+    all roots, in ZETA_FOURTH order, degrees, both cutoffs and both grids.
+    The integrand is symmetric in (z_1, z_2, z_3) and exactly 0 where two of
+    them share a node, so the sum runs over the strictly increasing index
+    triples, against broadcast views of z_4..z_r, and the 3! of the grid
+    cancels the norm's.  It has real coefficients and its float evaluation
+    commutes with conjugation, so the cores (_q2_cores) of root zeta at a
+    triple's partner (_q2_blocks) are conj of those of root conj(zeta), up
+    to the order of z_1..z_3: the pass sums the fixed triples (F) and the
+    lower triple of each pair (A), one block at a time, and root zeta gets
+    A_zeta + conj(A_conj(zeta)) + F_zeta.  So the pairs add nothing to the
+    imaginary part of Q2; a fixed triple's conjugate points are its own in
+    another order of z_1..z_3, rounded apart, and only they leave one.  The
+    damping powers of z_4..z_r are formed once.  The triples and z_4..z_r
+    of even indices, halved, are the n // 2-node pass's, split and ordered
+    alike, with half its weights, so the half-grid entry, 2^r times their
+    sum, is that pass's sum bit for bit.  The pass stops at the first block
+    that leaves a sum non-finite, which no later block can undo.
     """
     degrees = _require_request(q, r, degrees)
     euler.check_range(q)
@@ -560,41 +592,43 @@ def q2_term_profile(q: int, r: int, degrees, euler: EulerSpec = EulerSpec(),
     n = quad.n_points
     _check_budget(r, n)
     nodes, w = _circle(n, quad.rho)
-    shapes = [[n if b == a else 1 for b in range(r - 1)] for a in range(r - 1)]
+    # axis 0 runs over a block's triples, axes 1..r - 3 over z_4..z_r
+    shapes = [[n if b == a else 1 for b in range(r - 2)] for a in range(1, r - 2)]
     views = [nodes.reshape(shape) for shape in shapes]
     w_rest = prod([w.reshape(shape) for shape in shapes])
-    damps = [prod(views[2:]) ** (-d) for d in degrees]
-    even = (slice(None, None, 2),) * (r - 1)
-    sums = {(d, zeta, j): [0j, 0j, 0j]
+    damps = [prod(views) ** (-d) for d in degrees]
+    column = (-1,) + (1,) * (r - 3)
+    half = (slice(None, None, 2),) * (r - 3)
+    # [sums over the lower triples, sums over the fixed ones]
+    sums = {(d, zeta, j): [[0j, 0j, 0j], [0j, 0j, 0j]]
             for d in degrees for zeta in ZETA_FOURTH for j in (0, 1)}
-    for lead in [0] + [i for k in range(1, n // 2) for i in (k, n - k)] + [n // 2]:
-        if lead <= n // 2:
-            cores = per_cutoff = None  # free the last slice's arrays first
-            cores = _q2_cores([nodes[lead]] + views, w_rest, q, euler.pmax)
-        for zeta, j in cores:
-            if lead <= n // 2:
-                per_cutoff = cores[zeta, j]
-            else:  # cores of lead n - lead: index (-i) % n, reversed then shifted
-                per_cutoff = []
-                for core in cores[zeta.conjugate(), j]:
-                    image = np.roll(np.flip(core), 1, axis=tuple(range(r - 1)))
-                    per_cutoff.append(np.conjugate(image, out=image))
+    for fixed, block in _q2_blocks(n):
+        cores = None  # free the last block's arrays first
+        cores = _q2_cores([nodes[a].reshape(column) for a in block] + views,
+                          prod((w[a].reshape(column) for a in block), start=w_rest),
+                          q, euler.pmax)
+        even = ~(block % 2).any(axis=0)
+        for (zeta, j), per_cutoff in cores.items():
             for d, damp in zip(degrees, damps):
-                acc = sums[d, zeta, j]
+                acc = sums[d, zeta, j][fixed]
                 for c, core in enumerate(per_cutoff):
-                    acc[c] += w[lead] * (core * damp).sum()
-                if lead % 2 == 0:  # core is the pmax one
-                    acc[2] += w[lead] * (core[even] * damp[even]).sum()
+                    acc[c] += (core * damp).sum()
+                # core is the pmax one
+                acc[2] += (core[(even, *half)] * damp[(slice(None), *half)]).sum()
         if not np.isfinite(list(sums.values())).all():
             break
-    for acc in sums.values():
-        acc[2] = 2**r * acc[2]
     sign = _sign(r)
-    norm = 1 / (2**5 * 6 * factorial(r - 3))
-    return {d: {zeta: tuple(norm * ((1 - q**0.5) ** (-r) * complex(sign * first)
-                                    + complex(sign * second))
-                            for first, second in zip(sums[d, zeta, 0],
-                                                     sums[d, zeta, 1]))
+    totals = {}
+    for (d, zeta, j), (lower, fixed) in sums.items():
+        partner = sums[d, zeta.conjugate(), j][0]
+        totals[d, zeta, j] = [sign * scale * (a + np.conjugate(b) + f)
+                              for scale, a, b, f in zip((1, 1, 2**r), lower,
+                                                        partner, fixed)]
+    norm = 1 / (2**5 * factorial(r - 3))
+    return {d: {zeta: tuple(norm * ((1 - q**0.5) ** (-r) * complex(first)
+                                    + complex(second))
+                            for first, second in zip(totals[d, zeta, 0],
+                                                     totals[d, zeta, 1]))
                 for zeta in ZETA_FOURTH}
             for d in degrees}
 

@@ -48,7 +48,7 @@ def torus_slices(r: int, n: int, rho: float, center: complex = 1.0):
     (n a power of two), as slices (w_i, zs, w_rest): z_1 is one node of
     weight w_i, and the other variables are broadcast views of all n nodes,
     of weight w_rest (r = 1: one slice, w_i = 1.0).  The leading nodes go
-    0, 1, n - 1, 2, n - 2, ..., n / 2, as predictor.q2_term_profile adds them.
+    0, 1, n - 1, 2, n - 2, ..., n / 2, each followed by its conjugate.
     """
     _, w = pr._circle(n, rho)
     nodes = center + w * n  # center + rho e^(2 pi i k / n), bit for bit
@@ -152,18 +152,34 @@ def euler_product_regularized_powered(xis, q, pmax: int) -> dict:
 
 def q2_term_profile_per_root(q: int, r: int, degrees, euler: pr.EulerSpec,
                              quad: pr.QuadSpec) -> dict:
-    """predictor.q2_term_profile with every slice factor formed per root: the
-    kernel _q2_kernel(zs, 3) * w_rest once per root and each damping power
-    tailprod^(-D) once per (root, cutoff, D), where the production loop forms
-    the kernel once per slice and each power once per (slice, D).  The
-    half-grid entry comes from a walk of its own on n_points // 2 nodes,
-    where the production loop reads the even-index nodes of its one walk.
-    Each piece is norm * ((1 - sqrt q)^(-r) * first + second)."""
+    """predictor.q2_term_profile with every block factor formed per root: on
+    the same blocks of node triples (predictor._q2_blocks), the kernel
+    _q2_kernel(zs, 3) times the weights once per root and each damping
+    power once per (root, cutoff, D), where the production loop forms the
+    kernel once per block and each power once per call.  The half-grid
+    entry comes from a walk of its own on n_points // 2 nodes, where the
+    production loop reads the even-index nodes of its one walk."""
+    return _q2_profile(q, r, degrees, euler, quad, _q2_per_root_blocks, 1)
+
+
+def q2_term_profile_every_slice(q: int, r: int, degrees, euler: pr.EulerSpec,
+                                quad: pr.QuadSpec) -> dict:
+    """predictor.q2_term_profile as the full trapezoid sum over 3!: every
+    slice of the torus walk, every factor per root, at all n^r grid points,
+    where the production loop sums each increasing triple of (z_1, z_2, z_3)
+    once and reads half of them off their conjugate partners."""
+    return _q2_profile(q, r, degrees, euler, quad, _q2_per_root_walk, 6)
+
+
+def _q2_profile(q, r, degrees, euler, quad, walk, orders: int) -> dict:
+    """The pieces norm * ((1 - sqrt q)^(-r) * first + second) of the sums
+    walk(q, r, degrees, pmax, n, rho) on n_points and n_points // 2 nodes,
+    with the norm over orders arrangements of (z_1, z_2, z_3)."""
     degrees = sorted(set(degrees))
-    cutoffs, halved = (_q2_per_root_walk(q, r, degrees, euler.pmax, n, quad.rho)
+    cutoffs, halved = (walk(q, r, degrees, euler.pmax, n, quad.rho)
                        for n in (quad.n_points, quad.n_points // 2))
     sign = pr._sign(r)
-    norm = 1 / (2**5 * 6 * factorial(r - 3))
+    norm = 1 / (2**5 * orders * factorial(r - 3))
     return {d: {zeta: tuple(norm * ((1 - q**0.5) ** (-r) * complex(sign * first)
                                     + complex(sign * second))
                             for first, second in (*per_cutoff, halved[d][zeta][1]))
@@ -171,24 +187,58 @@ def q2_term_profile_per_root(q: int, r: int, degrees, euler: pr.EulerSpec,
             for d, pieces in cutoffs.items()}
 
 
+def _q2_root_sums(acc, zs, w_rest, q, pmax: int, degrees, tailprod) -> None:
+    """Add each root's two integrands at the points zs with weights w_rest,
+    every factor formed per root, to acc[d][zeta][cutoff][integral]."""
+    cutoffs = pr.euler_product_regularized(zs, q, pmax)
+    for zeta, a_sign in pr.ZETA_FOURTH.items():
+        g1, g2 = pr.secondary_weight_functions(zs, zeta, q)
+        for k, sregs in enumerate(cutoffs):
+            kern = pr._q2_kernel(zs, 3) * w_rest * sregs[a_sign]
+            core1 = g1 * kern
+            core2 = g2 * kern
+            for d in degrees:
+                damp = tailprod ** (-d)
+                acc[d][zeta][k][0] += (core1 * damp).sum()
+                acc[d][zeta][k][1] += (core2 * damp).sum()
+
+
+def _q2_sums(degrees) -> dict:
+    """Zero sums, acc[d][zeta][cutoff][integral]."""
+    return {d: {zeta: [[0j, 0j], [0j, 0j]] for zeta in pr.ZETA_FOURTH}
+            for d in degrees}
+
+
+def _q2_per_root_blocks(q, r, degrees, pmax: int, n: int, rho: float) -> dict:
+    """{D: {zeta: [[first, second] at pmax // 2, [first, second] at pmax]}},
+    unsigned, from the blocks of predictor._q2_blocks on the n-node grid:
+    A_zeta + conj(A_conj(zeta)) + F_zeta from the sums A over the lower
+    triples and F over the fixed ones."""
+    nodes, w = pr._circle(n, rho)
+    shapes = [[n if b == a else 1 for b in range(r - 2)] for a in range(1, r - 2)]
+    views = [nodes.reshape(shape) for shape in shapes]
+    w_rest = prod([w.reshape(shape) for shape in shapes])
+    tailprod = prod(views)
+    column = (-1,) + (1,) * (r - 3)
+    lower, fixed = _q2_sums(degrees), _q2_sums(degrees)
+    for is_fixed, block in pr._q2_blocks(n):
+        zs = [nodes[a].reshape(column) for a in block] + views
+        weights = prod((w[a].reshape(column) for a in block), start=w_rest)
+        _q2_root_sums(fixed if is_fixed else lower, zs, weights, q, pmax,
+                      degrees, tailprod)
+    return {d: {zeta: [[a + np.conjugate(b) + f for a, b, f in zip(*sums)]
+                       for sums in zip(lower[d][zeta],
+                                       lower[d][zeta.conjugate()], fixed[d][zeta])]
+                for zeta in pr.ZETA_FOURTH}
+            for d in degrees}
+
+
 def _q2_per_root_walk(q, r, degrees, pmax: int, n: int, rho: float) -> dict:
     """{D: {zeta: [[first, second] at pmax // 2, [first, second] at pmax]}},
-    unsigned, from one walk of the n-node grid, every slice factor per root."""
-    acc = {d: {zeta: [[0j, 0j], [0j, 0j]] for zeta in pr.ZETA_FOURTH}
-           for d in degrees}
+    unsigned, from one walk of every slice of the n-node grid."""
+    acc = _q2_sums(degrees)
     for w_i, zs, w_rest in torus_slices(r, n, rho):
-        tailprod = prod(zs[3:])
-        cutoffs = pr.euler_product_regularized(zs, q, pmax)
-        for zeta, a_sign in pr.ZETA_FOURTH.items():
-            g1, g2 = pr.secondary_weight_functions(zs, zeta, q)
-            for k, sregs in enumerate(cutoffs):
-                kern = pr._q2_kernel(zs, 3) * w_rest * sregs[a_sign]
-                core1 = g1 * kern
-                core2 = g2 * kern
-                for d in degrees:
-                    damp = tailprod ** (-d)
-                    acc[d][zeta][k][0] += w_i * (core1 * damp).sum()
-                    acc[d][zeta][k][1] += w_i * (core2 * damp).sum()
+        _q2_root_sums(acc, zs, w_i * w_rest, q, pmax, degrees, prod(zs[3:]))
     return acc
 
 

@@ -237,8 +237,8 @@ def test_criterion_10_q2_structure():
                              np.linalg.norm(ys.imag) / np.linalg.norm(ys.real))
         else:
             worst_fit = max(worst_fit, fit_resid(ys.imag))
-    # measured on this grid (n = 64): fits 7.4e-16 to 2.5e-15, zeta = +-1
-    # imaginary shares 5.1e-11 and 6.4e-11; the gates leave ~40x and ~15x
+    # measured on this grid (n = 64): fits 7.5e-16 to 1.5e-15, zeta = +-1
+    # imaginary shares 1.1e-12 and 1.4e-12; the gates leave ~65x and ~700x
     assert worst_fit <= 1e-13
     assert worst_imag <= 1e-9
 

@@ -220,9 +220,9 @@ VERIFY_GOLDEN = {
     "2": (
         '# note: normalization: unit auxiliary series assumed for r = 4\n'
         'D,moment_a,moment_b,moment,prediction,residual,normalized\n'
-        '1,5,0,5.0,5.437240171860275,-0.4372401718602754,-0.13983513410964488\n'
-        '2,224/5,-96/5,1.8674948320040343,4.123122044734488,-2.2556272127304533,-0.23070649397000031\n'
-        '3,20456/5,0,4091.2,4089.3047804526345,1.8952195473652864,0.06199380142386995\n'
+        '1,5,0,5.0,5.437240171891949,-0.43724017189194875,-0.13983513411977444\n'
+        '2,224/5,-96/5,1.8674948320040343,4.123122044716522,-2.255627212712488,-0.2307064939681628\n'
+        '3,20456/5,0,4091.2,4089.3047804522325,1.895219547767283,0.061993801437019505\n'
     ),
 }
 
@@ -243,9 +243,9 @@ PREDICT_GOLDEN = {
         '"truncation_tail": 0.00025549121817545193, "value": 70.95844084230716}\n'
     ),
     "q2": (
-        '{"D": 6, "imag_rel": 1.7476858373454098e-14, "kind": "q2", "q": 5, '
-        '"r": 4, "refinement_delta": 2.2497642698263676e-05, '
-        '"truncation_tail": 0.04252690166707746, "value": -0.35097739421926094}\n'
+        '{"D": 6, "imag_rel": 1.210874519353e-09, "kind": "q2", "q": 5, '
+        '"r": 4, "refinement_delta": 2.539314332002812e-05, '
+        '"truncation_tail": 0.04252778084136078, "value": -0.3509777164983037}\n'
     ),
 }
 
@@ -434,16 +434,16 @@ def test_predict_refinement_null_without_a_half_grid():
     assert json.loads(p.stdout)["refinement_delta"] is None
 
 
-# at pmax = 28 the level-two product overflows (exp of the count-weighted
+# at pmax = 29 the level-two product overflows (exp of the count-weighted
 # log sum) to inf or NaN
 def test_predict_non_finite_is_one_error_line():
-    p = run_cli("predict", "q2", "--pmax", "28", "--quad", "8", "--D", "6")
+    p = run_cli("predict", "q2", "--pmax", "29", "--quad", "8", "--D", "6")
     assert_one_line_error(p)
     assert "non-finite q2 prediction" in p.stderr and "--pmax" in p.stderr
 
 
 def test_verify_non_finite_is_one_error_line():
-    p = run_cli("verify", "--N", "2", "--pmax", "28", "--dmin", "3", "--dmax", "4",
+    p = run_cli("verify", "--N", "2", "--pmax", "29", "--dmin", "3", "--dmax", "4",
                 "--quad", "8")
     assert_one_line_error(p)
     assert "non-finite prediction" in p.stderr and "--pmax" in p.stderr

@@ -55,7 +55,7 @@ def no_walk(monkeypatch):
 
 @pytest.fixture
 def product_leads(monkeypatch) -> list:
-    """The leading node of every call to the level-two product, in order."""
+    """The z_1 argument of every call to the level-two product, in order."""
     leads = []
     product = pr.euler_product_regularized
 
@@ -613,10 +613,8 @@ class TestQ2:
         with pytest.raises(ValueError, match="r >= 4"):
             pr.q2_leading_coefficient(Q, 3)
 
-    # n = 32 slices (32^3 complex, 512 KiB) exceed numpy's 256 KiB
-    # temporary-elision size, where naming a temporary can move last bits.
-    # The oracle evaluates every slice, where the profile reads each slice
-    # past lead n / 2 off its conjugate partner.
+    # The oracle walks the same blocks of node triples with every factor
+    # formed per root, and takes its half grid from a pass on n / 2 nodes.
     @pytest.mark.parametrize("q, r, n, degrees", [(5, 4, 16, [6, 20, 30, 40]),
                                                   (5, 4, 32, [6, 20]),
                                                   (13, 4, 16, [6, 20]),
@@ -626,6 +624,29 @@ class TestQ2:
         got = pr.q2_term_profile(q, r, degrees, euler, quad)
         want = oracles.q2_term_profile_per_root(q, r, degrees, euler, quad)
         assert repr(got) == repr(want)
+
+    # Largest relative gap of a piece measured over D = 3..6, the four roots
+    # and the three entries of each degree: 1.55e-5 at r = 4 on 16 nodes,
+    # 4.05e-6 on 32 and 1.44e-7 at r = 5 on 8, all at the pmax and half-grid
+    # entries (under 6e-10 at pmax // 2).  The every-slice walk adds each
+    # triple's 3! orders apart, and the level-two f_e - 1, formed by
+    # subtraction, rounds differently in each order, which the irreducible
+    # counts amplify (ROADMAP item 1 step two).  At q = 13 that reaches ~10%
+    # of Q2 on 16 nodes, so no bound is kept there.  Bounds are ~10x the gaps.
+    SLICE_GAP = {(4, 16): 1.5e-4, (4, 32): 4e-5, (5, 8): 1.5e-6}
+
+    @pytest.mark.parametrize("r, n", sorted(SLICE_GAP))
+    def test_triple_sum_matches_the_every_slice_walk(self, r, n):
+        euler, quad = pr.EulerSpec(12), pr.QuadSpec(0.05, n)
+        got = pr.q2_term_profile(Q, r, range(3, 7), euler, quad)
+        want = oracles.q2_term_profile_every_slice(Q, r, range(3, 7), euler, quad)
+        assert list(got) == list(want)
+        bound = self.SLICE_GAP[r, n]
+        for D, pieces in want.items():
+            assert list(got[D]) == list(pieces)
+            for zeta, entries in pieces.items():
+                for g, w in zip(got[D][zeta], entries):
+                    assert abs(g - w) <= bound * abs(w)
 
     def test_value_reality_and_refinement(self):
         res = pr.q2_coefficient(Q, 4, 6, pr.EulerSpec(8), pr.QuadSpec(0.1, 32))
@@ -714,20 +735,23 @@ class TestGridBudget:
 class TestGridSums:
     def test_walk_stops_at_the_first_non_finite_sum(self, product_leads):
         quad = pr.QuadSpec(0.05, 8)
-        # at pmax = 28 the level-two product overflows on the second slice
+        # at pmax = 29 the level-two product overflows on the first block;
+        # at 28 it peaks at 1.5e250 there and only overflowed on coincident
+        # nodes, where the kernel's 0 made 0 * inf, which no sum visits now
         with np.errstate(over="ignore", invalid="ignore"):
-            res = pr.q2_coefficient(Q, 4, 6, pr.EulerSpec(28), quad)
+            res = pr.q2_coefficient(Q, 4, 6, pr.EulerSpec(29), quad)
         assert not math.isfinite(res.value)
-        assert len(product_leads) == 2
+        assert len(product_leads) == 1
         product_leads.clear()
         res = pr.q2_coefficient(Q, 4, 6, pr.EulerSpec(12), quad)
-        assert math.isfinite(res.value) and len(product_leads) == quad.n_points // 2 + 1
+        # the fixed triples and one block per largest index t = 2..7
+        assert math.isfinite(res.value) and len(product_leads) == 1 + 6
 
 
 class TestConjugateGrid:
-    """The nodes come in exact conjugate pairs, so q2_term_profile computes
-    the slices of leads 0..n / 2 only and reads each other one off its
-    partner; the oracle walk computes every slice, in the same order."""
+    """The nodes come in exact conjugate pairs, so q2_term_profile reads the
+    sum over each lower node triple's partner off the conjugate root's sum;
+    the oracle walks every slice, each lead followed by its partner."""
 
     @pytest.mark.parametrize("n", [4, 8, 16, 64])
     def test_circle_nodes_and_weights_are_exact_conjugate_pairs(self, n):
@@ -742,10 +766,13 @@ class TestConjugateGrid:
         assert nodes[::2].tobytes() == half.tobytes()
 
     @pytest.mark.parametrize("r, n", [(4, 16), (5, 8)])
-    def test_level_two_product_runs_once_per_computed_lead(self, product_leads, r, n):
+    def test_level_two_product_runs_once_per_block(self, product_leads, r, n):
         pr.q2_term_profile(Q, r, [4], pr.EulerSpec(6), pr.QuadSpec(0.05, n))
         nodes, _ = pr._circle(n, 0.05)
-        assert np.array(product_leads).tobytes() == nodes[:n // 2 + 1].tobytes()
+        blocks = pr._q2_blocks(n)
+        assert len(product_leads) == len(blocks)
+        for z1, (_, block) in zip(product_leads, blocks):
+            assert z1.ravel().tobytes() == nodes[block[0]].tobytes()
 
     @pytest.mark.parametrize("r, n", [(2, 8), (4, 16), (5, 8)])
     def test_torus_follows_each_lead_with_its_partner(self, r, n):
@@ -753,6 +780,87 @@ class TestConjugateGrid:
         order = [0] + [i for k in range(1, n // 2) for i in (k, n - k)] + [n // 2]
         slices = [(w_i, zs[0]) for w_i, zs, _ in oracles.torus_slices(r, n, 0.05)]
         assert slices == [(w[i], nodes[i]) for i in order]
+
+
+class TestQ2Triples:
+    """The premises of q2_term_profile's sum over increasing node triples:
+    the integrand is 0 where two of z_1..z_3 share a node and symmetric in
+    them, and conjugation pairs the triples that _q2_blocks splits."""
+
+    @staticmethod
+    def cores(q, r, n, triples):
+        """_q2_cores at the index triples (columns) against all of z_4..z_r."""
+        nodes, _ = pr._circle(n, 0.05)
+        shapes = [[n if b == a else 1 for b in range(r - 2)] for a in range(1, r - 2)]
+        column = (-1,) + (1,) * (r - 3)
+        zs = [nodes[a].reshape(column) for a in triples]
+        return pr._q2_cores(zs + [nodes.reshape(s) for s in shapes], 1.0, q, 12)
+
+    @pytest.mark.parametrize("r, n", [(4, 8), (5, 8)])
+    def test_cores_vanish_where_two_of_the_triple_coincide(self, r, n):
+        triples = np.array([t for t in itertools.product(range(n), repeat=3)
+                            if len(set(t)) < 3]).T
+        for per_cutoff in self.cores(Q, r, n, triples).values():
+            for core in per_cutoff:
+                assert np.all(core == 0)
+
+    # Largest relative gap of a core under a permutation, measured at
+    # pmax = 12: 2.0e-8 at r = 4 on 8 and 16 nodes and at r = 5 on 8 (under
+    # 3.1e-12 at pmax // 2); the level-two f_e - 1 rounds differently in
+    # each argument order and the counts amplify it.  The bound is ~5x that.
+    @pytest.mark.parametrize("r, n", [(4, 16), (5, 8)])
+    def test_cores_agree_under_the_six_orders_of_the_triple(self, r, n):
+        triples = pr._combinations(n, 3)
+        base = self.cores(Q, r, n, triples)
+        for perm in itertools.permutations(range(3)):
+            cores = self.cores(Q, r, n, triples[list(perm)])
+            for key, per_cutoff in base.items():
+                for want, got in zip(per_cutoff, cores[key]):
+                    assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want))
+
+    @staticmethod
+    def split(n):
+        """(fixed, lower) triples of _q2_blocks(n), as lists of tuples."""
+        fixed, lower = [], []
+        for is_fixed, block in pr._q2_blocks(n):
+            (fixed if is_fixed else lower).extend(map(tuple, block.T.tolist()))
+        return fixed, lower
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 64])
+    def test_fixed_lower_and_partner_triples_cover_all_once(self, n):
+        fixed, lower = self.split(n)
+        partners = [tuple(sorted(-a % n for a in t)) for t in lower]
+        colex = sorted(itertools.combinations(range(n), 3), key=lambda c: c[::-1])
+        rank = {t: i for i, t in enumerate(colex)}
+        assert all(rank[t] < rank[p] for t, p in zip(lower, partners))
+        assert sorted(fixed + lower + partners) == sorted(colex)
+        assert len(fixed) + 2 * len(lower) == math.comb(n, 3)
+        # fixed first, then one block per largest index, each in colex order
+        blocks = pr._q2_blocks(n)
+        assert [f for f, _ in blocks] == [True] + [False] * (len(blocks) - 1)
+        tops = [int(block[2, 0]) for _, block in blocks[1:]]
+        assert tops == sorted(set(tops))
+        for _, block in blocks:
+            keys = [rank[t] for t in map(tuple, block.T.tolist())]
+            assert keys == sorted(keys)
+        for t, (_, block) in zip(tops, blocks[1:]):
+            assert np.all(block[2] == t)
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 64])
+    def test_fixed_triples_are_a_self_conjugate_node_and_a_pair(self, n):
+        fixed, _ = self.split(n)
+        want = {frozenset((c, k, n - k)) for c in (0, n // 2) for k in range(1, n // 2)}
+        assert len(fixed) == len(want) == n - 2
+        assert {frozenset(t) for t in fixed} == want
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_even_triples_halved_are_the_half_split(self, n):
+        halved = []
+        for is_fixed, block in pr._q2_blocks(n):
+            even = block[:, ~(block % 2).any(axis=0)]
+            if even.size:
+                halved.append((is_fixed, (even // 2).tolist()))
+        assert halved == [(f, b.tolist()) for f, b in pr._q2_blocks(n // 2)]
 
 
 class TestHalfGrid:
@@ -774,7 +882,9 @@ class TestHalfGrid:
     # complex slices (512 KiB) exceeded numpy's 256 KiB temporary-elision
     # size, where the shared values could differ in the last bits.  Q1's
     # blocks on 64 nodes (up to C(63, 3) points, 635 KiB) exceed it too,
-    # and match bit for bit because _q1_kernel keeps its operand order.
+    # and so do Q2's (up to 42,240 points, 660 KiB), where the 32-node
+    # pass's stay below it; both match bit for bit because _q1_kernel,
+    # _q2_kernel and the level-two cross factor keep their operand order.
     @pytest.mark.parametrize("profile, q, r, n, rel", [
         (pr.q1_profile, 5, 4, 16, 0.0),
         (pr.q1_profile, 13, 4, 16, 0.0),
@@ -784,6 +894,7 @@ class TestHalfGrid:
         (pr.q1_profile, 5, 4, 64, 0.0),
         (pr.q2_term_profile, 5, 4, 16, 0.0),
         (pr.q2_term_profile, 13, 4, 16, 0.0),
+        (pr.q2_term_profile, 5, 4, 64, 0.0),
     ])
     def test_half_grid_is_the_half_walk(self, profile, q, r, n, rel):
         rho = 0.1 if profile is pr.q1_profile else 0.05
